@@ -26,7 +26,7 @@ the simplex before the prox, which avoids underflow for tiny weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,16 +42,25 @@ _KINDS = (ENTROPY_SIMPLEX, EUCLIDEAN_BALL, EUCLIDEAN_FREE)
 DEFAULT_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
 class BlockVector:
     """An ordered tuple of dense real blocks.
 
     Blocks are float64 arrays.  Instances are cheap containers; the
     arithmetic helpers allocate fresh vectors except for the in-place
-    accumulator :meth:`add_scaled_`.
+    accumulator :meth:`add_scaled_`.  ``block_dims`` is fixed at
+    construction, so treat ``blocks`` as read-only: rebinding it would
+    leave the layout stale.
     """
 
-    blocks: tuple[np.ndarray, ...]
+    __slots__ = ("blocks", "block_dims")
+
+    def __init__(self, blocks):
+        blocks = tuple(blocks)
+        self.blocks: tuple[np.ndarray, ...] = blocks
+        self.block_dims: tuple[int, ...] = tuple([b.size for b in blocks])
+
+    def __repr__(self) -> str:
+        return f"BlockVector(blocks={self.blocks!r})"
 
     @classmethod
     def from_arrays(cls, arrays) -> "BlockVector":
@@ -77,10 +86,6 @@ class BlockVector:
     @classmethod
     def full(cls, block_dims, value: float) -> "BlockVector":
         return cls(tuple(np.full(d, float(value)) for d in block_dims))
-
-    @property
-    def block_dims(self) -> tuple[int, ...]:
-        return tuple(b.size for b in self.blocks)
 
     def flat(self) -> np.ndarray:
         return np.concatenate(self.blocks)

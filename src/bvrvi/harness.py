@@ -27,10 +27,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import statistics
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -499,27 +496,17 @@ def aggregate_rows(per_seed_rows: dict[int, list[tuple]]) -> list[tuple]:
 
 
 def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("BVRVI_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise UsageError(f"BVRVI_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise UsageError(f"BVRVI_THREADS must be >= 1, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
+    """Seeds run one at a time, whatever their number."""
+    return 1
 
 
 def _run_seeds(fn, seeds) -> dict[int, object]:
-    """Run fn(seed) for every seed, in parallel workers, results by seed."""
-    workers = _worker_count(len(seeds))
-    if workers == 1:
-        return {seed: fn(seed) for seed in seeds}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {seed: pool.submit(fn, seed) for seed in seeds}
-        return {seed: fut.result() for seed, fut in futures.items()}
+    """Run fn(seed) for every seed in order on the calling thread.
+
+    Thread workers were measured slower: the solver loop is Python code,
+    so the interpreter lock serializes it and threads only add contention.
+    """
+    return {seed: fn(seed) for seed in seeds}
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +548,7 @@ def _accounting_lines(problem, params, traces: dict[int, RunTrace]) -> list[str]
         if rates:
             lines.append(f"accounting.fresh_full_rate_measured = {_fmt(sum(rates) / len(rates))}")
             lines.append(f"accounting.fresh_full_rate_memoized = {_fmt(expected)}")
-        nominal = params.p * problem.num_components + 2 * params.b
+        nominal = expected * problem.num_components + 2 * params.b
         lines.append(f"accounting.component_calls_per_iter_nominal = {_fmt(nominal)}")
     return lines
 

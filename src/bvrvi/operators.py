@@ -229,8 +229,10 @@ class RegularizedGameOperator(FiniteSumProblem):
         fro2 = float(np.sum(payoff * payoff))
         if fro2 == 0.0:
             raise ParameterError("payoff matrix is zero; sampling weights undefined")
-        self._r = np.sum(payoff * payoff, axis=1) / fro2
-        self._c = np.sum(payoff * payoff, axis=0) / fro2
+        r = np.sum(payoff * payoff, axis=1) / fro2
+        c = np.sum(payoff * payoff, axis=0) / fro2
+        self._dist = OracleSampleDistribution(r=r, c=c, degenerate=False)
+        self._dist_degenerate = OracleSampleDistribution(r=r, c=c, degenerate=True)
 
     def full(self, z: BlockVector) -> DualVector:
         check_layout(self.geometry, z, "z")
@@ -255,7 +257,7 @@ class RegularizedGameOperator(FiniteSumProblem):
         check_layout(self.geometry, u, "u")
         check_layout(self.geometry, v, "v")
         same = all(np.array_equal(a, b) for a, b in zip(u.blocks, v.blocks))
-        return OracleSampleDistribution(r=self._r, c=self._c, degenerate=same)
+        return self._dist_degenerate if same else self._dist
 
     def jacobian_transpose_apply(self, w: BlockVector) -> BlockVector:
         wx, wy = w.blocks
@@ -300,9 +302,11 @@ class AffineStrongOperator(FiniteSumProblem):
         self.geometry = geometry
         self.n_rows = len(self.components_h)
         self.n_cols = 1
+        # Component matrices H_i = H + Z_i, formed once for the oracle.
+        self._component_mats = [h + z for z in self.components_h]
         self.lip = power_iteration_norm(h)
         self.lip_bar = float(np.sqrt(np.mean(
-            [power_iteration_norm(h + z) ** 2 for z in self.components_h])))
+            [power_iteration_norm(hi) ** 2 for hi in self._component_mats])))
         self.tag = "strongly-pseudomonotone"
         self.rho = 0.0
         self.beta = 2.0 * self.mu if beta is None else float(beta)
@@ -310,6 +314,8 @@ class AffineStrongOperator(FiniteSumProblem):
         m = self.n_rows
         self._uniform = OracleSampleDistribution(
             r=np.full(m, 1.0 / m), c=np.ones(1), degenerate=False)
+        self._uniform_degenerate = OracleSampleDistribution(
+            r=self._uniform.r, c=self._uniform.c, degenerate=True)
 
     def full(self, z: BlockVector) -> DualVector:
         check_layout(self.geometry, z, "z")
@@ -323,20 +329,14 @@ class AffineStrongOperator(FiniteSumProblem):
             raise RuntimeError(
                 f"internal invariant violation: drew zero-probability index {xi}"
             )
-        m = self.n_rows
-        scale = 1.0 / (m * ri)
-        hi = self.h + self.components_h[i]
-        return BlockVector((scale * (hi @ z.blocks[0] + self.q),))
+        scale = 1.0 / (self.n_rows * ri)
+        return BlockVector((scale * (self._component_mats[i] @ z.blocks[0] + self.q),))
 
     def distribution(self, u, v) -> OracleSampleDistribution:
         check_layout(self.geometry, u, "u")
         check_layout(self.geometry, v, "v")
         same = all(np.array_equal(a, b) for a, b in zip(u.blocks, v.blocks))
-        if same:
-            m = self.n_rows
-            return OracleSampleDistribution(
-                r=np.full(m, 1.0 / m), c=np.ones(1), degenerate=True)
-        return self._uniform
+        return self._uniform_degenerate if same else self._uniform
 
     def jacobian_transpose_apply(self, w: BlockVector) -> BlockVector:
         return BlockVector((self.h.T @ w.blocks[0],))
@@ -408,31 +408,13 @@ def estimator_delta(f_anchor: DualVector, problem: FiniteSumProblem,
 # Spectral norms and serialization.
 # ---------------------------------------------------------------------------
 
-def power_iteration_norm(mat: np.ndarray, tol: float = 1e-10,
-                         max_iters: int = 10_000) -> float:
-    """Spectral norm by power iteration on mat^T mat.
+def power_iteration_norm(mat: np.ndarray) -> float:
+    """Spectral norm (largest singular value), computed exactly by SVD.
 
-    Deterministic all-ones start; stops when the relative change of the
-    singular value estimate drops below tol.
+    Power iteration stalls on matrices whose top singular values nearly
+    tie, as in the linear-rate fixtures, and can only err low.
     """
-    mat = np.asarray(mat, dtype=np.float64)
-    n = mat.shape[1]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    last = 0.0
-    for _ in range(max_iters):
-        w = mat @ v
-        sigma = float(np.linalg.norm(w))
-        if sigma == 0.0:
-            return 0.0
-        u = mat.T @ w
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            return sigma
-        v = u / nu
-        if abs(sigma - last) <= tol * max(sigma, 1e-30):
-            return sigma
-        last = sigma
-    return last
+    return float(np.linalg.norm(np.asarray(mat, dtype=np.float64), 2))
 
 
 def dump_matrix(path, mat: np.ndarray) -> None:
@@ -480,7 +462,7 @@ def build_regularized_game(n: int, lam: float = 0.01,
     """Structured payoff game on unit balls.
 
     Entries ((|i - j| + 1) / (2n - 1))^2, rescaled so the spectral norm
-    equals target_spectral to within the power-iteration tolerance.
+    equals target_spectral up to floating-point rounding.
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")

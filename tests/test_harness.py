@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import threading
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from bvrvi.errors import ParameterError, UsageError
 from bvrvi.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
+    _run_seeds,
     aggregate_rows,
     canonical_text,
     parse_config,
@@ -185,6 +187,12 @@ def test_run_experiment_emits_expected_files(tmp_path, capsys):
     assert "params.alpha = " in header
     assert "theory.ergodic_coeff = " in header
     assert "accounting.fresh_full_rate_measured = " in header
+    # n = 6: M = 36 components, p = 1/6, b = 2; the memoized fresh-evaluation
+    # rate p + (1 - p)^2 gives (6 + 25) full-evaluation units plus 2b.
+    nominal = [line for line in header.splitlines()
+               if line.startswith("accounting.component_calls_per_iter_nominal = ")]
+    assert len(nominal) == 1
+    assert float(nominal[0].split(" = ")[1]) == pytest.approx(35.0, rel=1e-12)
 
 
 def test_aggregate_matches_independent_median(tmp_path):
@@ -255,22 +263,17 @@ def test_exit_code_4_on_unwritable_output(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
-def test_thread_cap_env_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BVRVI_THREADS", "abc")
-    assert main(_tiny_argv(tmp_path / "a")) == 2
-    assert "BVRVI_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("BVRVI_THREADS", "0")
-    assert main(_tiny_argv(tmp_path / "b")) == 2
-    monkeypatch.setenv("BVRVI_THREADS", "1")
-    assert main(_tiny_argv(tmp_path / "c")) == 0
-    assert (tmp_path / "c" / "matrix-game_alg1_aggregate.csv").exists()
+def test_run_seeds_is_serial_on_calling_thread():
+    caller = threading.get_ident()
+    calls = []
 
+    def fn(seed):
+        calls.append((seed, threading.get_ident()))
+        return seed * 10
 
-def test_thread_cap_does_not_change_output(tmp_path, monkeypatch):
-    run_experiment(parse_config(_tiny_argv(tmp_path / "par")))
-    monkeypatch.setenv("BVRVI_THREADS", "1")
-    run_experiment(parse_config(_tiny_argv(tmp_path / "ser")))
-    assert _hash_dir(tmp_path / "par") == _hash_dir(tmp_path / "ser")
+    out = _run_seeds(fn, (5, 2, 9))
+    assert calls == [(5, caller), (2, caller), (9, caller)]
+    assert list(out.items()) == [(5, 50), (2, 20), (9, 90)]
 
 
 def test_variance_check_experiment(tmp_path, capsys):

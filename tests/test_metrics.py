@@ -282,7 +282,8 @@ def test_linear_rate_constants_frozen():
     bounds = theory_bounds(params, problem)
     assert bounds.checked == ("linear",)
     assert bounds.failures == ()
-    assert bounds.theta == pytest.approx(1.0019259547874004, rel=1e-12)
+    assert problem.lip == pytest.approx(np.linalg.norm(problem.h, 2), rel=1e-14)
+    assert bounds.theta == pytest.approx(1.0019258711510461, rel=1e-12)
     assert bounds.envelope_coeff == pytest.approx(4.0 / 1.04, rel=1e-14)
     assert bounds.theta == pytest.approx(
         helpers.alt_theta(fp["gamma"], fp["p"], fp["alpha"], fp["b"],

@@ -361,10 +361,18 @@ def test_build_matrix_game_seeded():
 
 def test_power_iteration_matches_numpy():
     rng = np.random.default_rng(3)
-    for _ in range(5):
-        mat = rng.standard_normal((10, 10))
+    mats = [rng.standard_normal((10, 10)) for _ in range(5)]
+    # The p-lt-1 fixture's skew parts and its component matrices
+    # H + Z_i; the latter have top singular values within 1.5e-4 of each
+    # other, where power iteration stalls short of the norm.
+    problem, _ = build_linear_rate_fixture("p-lt-1")
+    mats.append(0.5 * (problem.h - problem.h.T))
+    mats += [z / LINEAR_RATE_VARIANTS["p-lt-1"]["perturb_scale"]
+             for z in problem.components_h]
+    mats += [problem.h + z for z in problem.components_h]
+    for mat in mats:
         assert power_iteration_norm(mat) == pytest.approx(
-            np.linalg.norm(mat, 2), rel=1e-8)
+            np.linalg.norm(mat, 2), rel=1e-12)
     assert power_iteration_norm(np.zeros((4, 4))) == 0.0
 
 
