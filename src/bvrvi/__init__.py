@@ -4,7 +4,7 @@ inequalities, plus a reproducible experiment harness."""
 from . import geometry, operators, metrics, solver, harness  # noqa: F401
 from .errors import (  # noqa: F401
     BvrviError,
-    DataFormatError,
+    DivergenceError,
     DomainError,
     LayoutError,
     ParameterError,

@@ -1,13 +1,14 @@
 """Console entry point.
 
-Exit codes: 0 success, 2 usage error, 3 premise violation, 4 I/O error.
+Exit codes: 0 success, 2 usage error, 3 premise violation, 4 I/O error,
+5 diverged (an iterate stopped being finite).
 """
 
 from __future__ import annotations
 
 import sys
 
-from .errors import ParameterError, PremiseViolationError, UsageError
+from .errors import DivergenceError, ParameterError, PremiseViolationError, UsageError
 from .harness import build_arg_parser, parse_config, run_experiment
 
 
@@ -30,6 +31,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except DivergenceError as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-The hierarchy keeps three user-facing failure classes apart: bad call
+The hierarchy keeps four user-facing failure classes apart: bad call
 arguments (ParameterError), points outside the domain of a mirror map or
-metric (DomainError), and violated premises of a convergence guarantee
-(PremiseViolationError).  Structural mismatches between vectors and a
+metric (DomainError), violated premises of a convergence guarantee
+(PremiseViolationError), and runs whose iterates stop being finite
+(DivergenceError).  Structural mismatches between vectors and a
 geometry get their own class so shape bugs fail loudly instead of
 broadcasting silently.
 """
@@ -29,8 +30,8 @@ class PremiseViolationError(BvrviError, ValueError):
     """A theoretical premise fails; the message names the inequality."""
 
 
-class DataFormatError(BvrviError, ValueError):
-    """A serialized matrix file is malformed."""
+class DivergenceError(BvrviError):
+    """An iterate stopped being finite; the message names the iteration."""
 
 
 class UsageError(BvrviError, ValueError):

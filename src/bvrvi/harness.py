@@ -35,15 +35,15 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .errors import ParameterError, PremiseViolationError, UsageError
-from .geometry import BlockVector
+from .geometry import BlockVector, dual_norm, primal_norm
 from .operators import (
     FiniteSumProblem,
-    component_eval,
-    make_distribution,
-    sample_batch,
     build_linear_rate_fixture,
     build_matrix_game,
     build_regularized_game,
+    estimator_delta,
+    make_distribution,
+    sample_batch,
 )
 from .solver import (
     RunTrace,
@@ -235,8 +235,6 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
     for m in (config.methods or (config.method,)):
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}")
-    if config.methods and len(set(config.methods)) < 1:
-        raise UsageError("methods list is empty")
     if not config.seeds:
         raise UsageError("need at least one seed")
     if config.log_stride < 1:
@@ -398,7 +396,6 @@ def _build_problem(config: ExperimentConfig, method: str):
 
 
 def _metric_fns(problem: FiniteSumProblem, names, config: ExperimentConfig, params):
-    geometry = problem.geometry
     fns = {}
     for name in names:
         if name == "duality_gap":
@@ -418,8 +415,7 @@ def _metric_fns(problem: FiniteSumProblem, names, config: ExperimentConfig, para
             def _nat(ctx, gamma=gamma, alpha=alpha):
                 if ctx.iteration == 0:
                     return math.nan
-                return metrics_mod.natural_residual(problem, ctx.state, geometry,
-                                                    gamma, alpha)
+                return metrics_mod.natural_residual(problem, ctx.state, gamma, alpha)
 
             fns[name] = _nat
         else:
@@ -556,15 +552,12 @@ def _accounting_lines(problem, params, traces: dict[int, RunTrace]) -> list[str]
 def _single_method_run(config: ExperimentConfig, method: str, out_dir: Path):
     problem, params, start, metric_names = _build_problem(config, method)
     metric_fns = _metric_fns(problem, metric_names, config, params)
+    solve = run_vr_forb if isinstance(params, VrForbParams) else run
 
     def one_seed(seed: int) -> RunTrace:
-        if isinstance(params, VrForbParams):
-            seeded = replace(params, seed=seed)
-            return run_vr_forb(problem, seeded, start=start, metric_fns=metric_fns,
-                               log_stride=config.log_stride, timing=config.timing)
-        seeded = replace(params, seed=seed)
-        return run(problem, seeded, start=start, metric_fns=metric_fns,
-                   log_stride=config.log_stride, timing=config.timing)
+        return solve(problem, replace(params, seed=seed), start=start,
+                     metric_fns=metric_fns, log_stride=config.log_stride,
+                     timing=config.timing)
 
     traces = _run_seeds(one_seed, config.seeds)
     per_seed_rows = {seed: trace_rows(traces[seed], seed) for seed in config.seeds}
@@ -596,18 +589,15 @@ def _variance_check(config: ExperimentConfig, out_dir: Path) -> int:
         w = BlockVector(tuple(rng.dirichlet(np.ones(d))
                               for d in problem.geometry.block_dims))
         dist = make_distribution(problem, x, w)
-        from .geometry import dual_norm, primal_norm
         bound = (problem.lip_bar ** 2 / b) * primal_norm(problem.geometry, x - w) ** 2
         total = 0.0
         total_sq = 0.0
-        mean_diff = problem.full(x) - problem.full(w)
+        # The solver's estimator anchored at -(F(x) - F(w)) returns the noise
+        # of the sampled difference around its mean.
+        minus_mean_diff = (problem.full(x) - problem.full(w)).scaled(-1.0)
         for _ in range(config.mc_batches):
             batch = sample_batch(dist, b, rng)
-            acc = BlockVector.zeros(x.block_dims)
-            for xi in batch:
-                acc.add_scaled_(component_eval(problem, xi, x, dist), 1.0)
-                acc.add_scaled_(component_eval(problem, xi, w, dist), -1.0)
-            noise = acc.scaled(1.0 / b) - mean_diff
+            noise = estimator_delta(minus_mean_diff, problem, x, w, batch, dist)
             val = dual_norm(problem.geometry, noise) ** 2
             total += val
             total_sq += val * val
@@ -643,10 +633,7 @@ def _variance_check(config: ExperimentConfig, out_dir: Path) -> int:
 def run_experiment(config: ExperimentConfig) -> int:
     """Execute the configured experiment; returns the process exit code."""
     out_dir = Path(config.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError:
-        raise
+    out_dir.mkdir(parents=True, exist_ok=True)
     print("# effective config")
     print(canonical_text(config), end="")
 
@@ -665,11 +652,8 @@ def run_experiment(config: ExperimentConfig) -> int:
     return 0
 
 
-def compare_methods(config: ExperimentConfig, out_dir: Path | None = None) -> int:
+def compare_methods(config: ExperimentConfig, out_dir: Path) -> int:
     """Run every method in config.methods and emit a comparison CSV."""
-    if out_dir is None:
-        out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
     headline = _headline_metric(config.experiment)
     compare_rows = []
     medians = {}

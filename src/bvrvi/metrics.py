@@ -31,7 +31,6 @@ from .geometry import (
     GeometrySpec,
     check_layout,
     dual_norm,
-    euclidean_project,
     mirror_map,
 )
 from .operators import FiniteSumProblem, MatrixGameOperator
@@ -50,50 +49,6 @@ def duality_gap(problem: MatrixGameOperator, z: BlockVector) -> float:
     return float(np.max(problem.payoff @ x) - np.min(problem.payoff.T @ y))
 
 
-@dataclass(frozen=True)
-class GapValue:
-    """A gap estimate and whether it is exact or only a lower bound."""
-
-    value: float
-    exact: bool
-
-
-def restricted_gap(problem: FiniteSumProblem, z: BlockVector, *,
-                   restarts: int = 10, steps: int = 1000,
-                   seed: int = 0) -> GapValue:
-    """sup_u <F(u), z - u> over the feasible set.
-
-    Matrix games admit a closed form (exact).  Other operator kinds get a
-    multi-start projected gradient ascent on the concave-or-not inner
-    problem; the result is then only a certified lower bound on the gap
-    and is flagged as such.
-    """
-    check_layout(problem.geometry, z, "z")
-    if isinstance(problem, MatrixGameOperator):
-        return GapValue(duality_gap(problem, z), exact=True)
-
-    geometry = problem.geometry
-    eta = 0.5 / max(problem.lip, 1e-12)
-    rng = np.random.default_rng(seed)
-
-    starts = [euclidean_project(geometry, z), BlockVector.zeros(geometry.block_dims)]
-    while len(starts) < max(restarts, 1):
-        raw = BlockVector(tuple(rng.standard_normal(d) for d in geometry.block_dims))
-        starts.append(euclidean_project(geometry, raw))
-
-    def phi(u: BlockVector) -> float:
-        return problem.full(u).dot(z - u)
-
-    best = -math.inf
-    for u in starts:
-        u = u.copy()
-        for _ in range(steps):
-            grad = problem.jacobian_transpose_apply(z - u) - problem.full(u)
-            u = euclidean_project(geometry, u + grad.scaled(eta))
-        best = max(best, phi(u))
-    return GapValue(best, exact=False)
-
-
 def scaled_norm_residual(z: BlockVector, scale_dim: int) -> float:
     """Flat Euclidean norm of z divided by sqrt(scale_dim)."""
     if scale_dim < 1:
@@ -107,8 +62,8 @@ def distance_to_solution(problem: FiniteSumProblem, z: BlockVector) -> float:
     return float(np.linalg.norm((z - problem.solution).flat()))
 
 
-def natural_residual(problem: FiniteSumProblem, state, geometry: GeometrySpec,
-                     gamma: float, alpha: float) -> float:
+def natural_residual(problem: FiniteSumProblem, state, gamma: float,
+                     alpha: float) -> float:
     """Dual norm of the implicit subgradient certificate of the last step.
 
     u = F(x_cur) - delta - (grad f(x_cur) - gamma*grad f(x_prev)
@@ -119,6 +74,7 @@ def natural_residual(problem: FiniteSumProblem, state, geometry: GeometrySpec,
     map gradient is unbounded and the certificate norm is meaningless
     there.
     """
+    geometry = problem.geometry
     if geometry.kind == ENTROPY_SIMPLEX:
         raise DomainError("natural residual is not defined for the entropy geometry")
     if state.delta_last is None or state.x_prev2 is None:
@@ -191,7 +147,6 @@ def _require_lf(geometry: GeometrySpec) -> float:
 
 
 def theory_bounds(params, problem: FiniteSumProblem,
-                  geometry: GeometrySpec | None = None,
                   regimes=None, strict: bool = True) -> TheoryBounds:
     """Evaluate guarantee constants for the requested regimes.
 
@@ -200,7 +155,7 @@ def theory_bounds(params, problem: FiniteSumProblem,
     strict, otherwise they are returned in ``failures`` alongside any
     constants that could still be computed.
     """
-    geometry = problem.geometry if geometry is None else geometry
+    geometry = problem.geometry
     gamma, p, alpha, b = params.gamma, params.p, params.alpha, params.b
     lip, lip_bar = problem.lip, problem.lip_bar
 

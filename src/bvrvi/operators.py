@@ -23,13 +23,11 @@ counts as M component calls.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, DomainError, ParameterError
+from .errors import ParameterError
 from .geometry import (
     ENTROPY_SIMPLEX,
     EUCLIDEAN_BALL,
@@ -38,8 +36,6 @@ from .geometry import (
     GeometrySpec,
     check_layout,
 )
-
-MATRIX_MAGIC = b"BVRVI1"
 
 
 @dataclass
@@ -122,10 +118,6 @@ class FiniteSumProblem:
     def distribution(self, u: BlockVector, v: BlockVector) -> OracleSampleDistribution:
         raise NotImplementedError
 
-    def jacobian_transpose_apply(self, w: BlockVector) -> BlockVector:
-        """W^T w for the affine representation F(z) = W z + q."""
-        raise NotImplementedError
-
     def all_indices(self) -> list[tuple[int, int]]:
         return [(i, k) for i in range(self.n_rows) for k in range(self.n_cols)]
 
@@ -189,10 +181,6 @@ class MatrixGameOperator(FiniteSumProblem):
         r, r_zero = _normalized_abs_diff(u.blocks[1], v.blocks[1])
         c, c_zero = _normalized_abs_diff(u.blocks[0], v.blocks[0])
         return OracleSampleDistribution(r=r, c=c, degenerate=r_zero and c_zero)
-
-    def jacobian_transpose_apply(self, w: BlockVector) -> BlockVector:
-        wx, wy = w.blocks
-        return BlockVector((-(self.payoff.T @ wy), self.payoff @ wx))
 
 
 class RegularizedGameOperator(FiniteSumProblem):
@@ -258,11 +246,6 @@ class RegularizedGameOperator(FiniteSumProblem):
         check_layout(self.geometry, v, "v")
         same = all(np.array_equal(a, b) for a, b in zip(u.blocks, v.blocks))
         return self._dist_degenerate if same else self._dist
-
-    def jacobian_transpose_apply(self, w: BlockVector) -> BlockVector:
-        wx, wy = w.blocks
-        return BlockVector((-self.lam * wx - self.payoff.T @ wy,
-                            self.payoff @ wx - self.lam * wy))
 
 
 class AffineStrongOperator(FiniteSumProblem):
@@ -338,9 +321,6 @@ class AffineStrongOperator(FiniteSumProblem):
         same = all(np.array_equal(a, b) for a, b in zip(u.blocks, v.blocks))
         return self._uniform_degenerate if same else self._uniform
 
-    def jacobian_transpose_apply(self, w: BlockVector) -> BlockVector:
-        return BlockVector((self.h.T @ w.blocks[0],))
-
 
 # ---------------------------------------------------------------------------
 # Free-function oracle layer with usage accounting.
@@ -405,7 +385,7 @@ def estimator_delta(f_anchor: DualVector, problem: FiniteSumProblem,
 
 
 # ---------------------------------------------------------------------------
-# Spectral norms and serialization.
+# Spectral norms.
 # ---------------------------------------------------------------------------
 
 def power_iteration_norm(mat: np.ndarray) -> float:
@@ -415,34 +395,6 @@ def power_iteration_norm(mat: np.ndarray) -> float:
     tie, as in the linear-rate fixtures, and can only err low.
     """
     return float(np.linalg.norm(np.asarray(mat, dtype=np.float64), 2))
-
-
-def dump_matrix(path, mat: np.ndarray) -> None:
-    """Write a dense matrix: magic 'BVRVI1', u32 rows, u32 cols (little
-    endian), then row-major float64 payload."""
-    mat = np.ascontiguousarray(mat, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ParameterError(f"expected a 2-d matrix, got ndim={mat.ndim}")
-    rows, cols = mat.shape
-    with open(path, "wb") as fh:
-        fh.write(MATRIX_MAGIC)
-        fh.write(struct.pack("<II", rows, cols))
-        fh.write(mat.astype("<f8").tobytes(order="C"))
-
-
-def load_matrix(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    head = len(MATRIX_MAGIC) + 8
-    if len(raw) < head or raw[: len(MATRIX_MAGIC)] != MATRIX_MAGIC:
-        raise DataFormatError(f"{path}: missing {MATRIX_MAGIC!r} header")
-    rows, cols = struct.unpack("<II", raw[len(MATRIX_MAGIC) : head])
-    expected = head + rows * cols * 8
-    if len(raw) != expected:
-        raise DataFormatError(
-            f"{path}: payload is {len(raw) - head} bytes, expected {rows * cols * 8}"
-        )
-    data = np.frombuffer(raw[head:], dtype="<f8").astype(np.float64)
-    return data.reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +414,15 @@ def build_regularized_game(n: int, lam: float = 0.01,
     """Structured payoff game on unit balls.
 
     Entries ((|i - j| + 1) / (2n - 1))^2, rescaled so the spectral norm
-    equals target_spectral up to floating-point rounding.
+    equals target_spectral; the operator declares target_spectral as its
+    norm, which the rescaled matrix matches up to floating-point rounding.
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
     idx = np.arange(n)
     base = ((np.abs(idx[:, None] - idx[None, :]) + 1.0) / (2.0 * n - 1.0)) ** 2
-    s = power_iteration_norm(base)
-    scaled = base * (target_spectral / s)
-    s2 = power_iteration_norm(scaled)
-    return RegularizedGameOperator(scaled, lam=lam, spectral_norm=s2)
+    scaled = base * (target_spectral / power_iteration_norm(base))
+    return RegularizedGameOperator(scaled, lam=lam, spectral_norm=target_spectral)
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:

@@ -20,7 +20,10 @@ the anchor coin (one uniform).  Runs with equal parameters and seed are
 bit-for-bit reproducible.
 
 A reflected single-index baseline (``run_vr_forb``) and a deterministic
-extragradient reference solver are included for comparisons.
+extragradient reference solver are included for comparisons.  Both
+stochastic solvers share one loop (``_drive``) that owns the
+start state, the ergodic average, metric logging and the divergence
+check; each supplies only its one-step update.
 """
 
 from __future__ import annotations
@@ -32,12 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, PremiseViolationError
+from .errors import DivergenceError, DomainError, ParameterError, PremiseViolationError
 from .geometry import (
     ENTROPY_SIMPLEX,
     BlockVector,
     DualVector,
-    GeometrySpec,
     check_layout,
     euclidean_project,
     fused_inertial_prox,
@@ -47,7 +49,6 @@ from .operators import (
     FiniteSumProblem,
     OracleCounters,
     OracleSampleDistribution,
-    component_eval,
     estimator_delta,
     full_eval,
     make_distribution,
@@ -223,13 +224,11 @@ class SolverState:
     anchor_refreshes: int = 0
 
 
-def init_state(problem: FiniteSumProblem, params: SolverParams,
-               start: BlockVector | None = None,
-               geometry: GeometrySpec | None = None) -> SolverState:
+def init_state(problem: FiniteSumProblem, params: SolverParams | VrForbParams,
+               start: BlockVector | None = None) -> SolverState:
     """All iterates and anchors start at the same point; one full evaluation."""
-    geometry = problem.geometry if geometry is None else geometry
-    x0 = uniform_start(geometry) if start is None else start.copy()
-    check_layout(geometry, x0, "start")
+    x0 = uniform_start(problem.geometry) if start is None else start.copy()
+    check_layout(problem.geometry, x0, "start")
     counters = OracleCounters()
     f0 = full_eval(problem, x0, counters)
     return SolverState(
@@ -239,56 +238,61 @@ def init_state(problem: FiniteSumProblem, params: SolverParams,
     )
 
 
-def step(state: SolverState, problem: FiniteSumProblem, geometry: GeometrySpec,
-         params: SolverParams, exact_delta: bool = False) -> SolverState:
-    """One iteration; mutates and returns the state.
-
-    Randomness order: distribution, batch, coin.  With ``exact_delta``
-    the sampled difference is replaced by the exact full difference
-    (two extra full evaluations; diagnostic use only).
-    """
-    dist = make_distribution(problem, state.x_cur, state.w_prev)
-
-    if exact_delta:
-        fx = full_eval(problem, state.x_cur, state.counters)
-        fw = full_eval(problem, state.w_prev, state.counters)
-        delta = state.f_w + (fx - fw)
-    elif dist.degenerate:
-        delta = estimator_delta(state.f_w, problem, state.x_cur, state.w_prev,
-                                [], dist, state.counters)
-    else:
-        batch = sample_batch(dist, params.b, state.rng)
-        state.sampled_iterations += 1
-        delta = estimator_delta(state.f_w, problem, state.x_cur, state.w_prev,
-                                batch, dist, state.counters)
-
-    x_next = fused_inertial_prox(geometry, state.x_cur, state.x_prev,
-                                 params.gamma, delta, params.alpha)
-
-    heads = float(state.rng.random()) < params.p
-    if heads:
-        state.anchor_refreshes += 1
-        w_next = x_next
-        f_w_next = full_eval(problem, x_next, state.counters)
-        memo_next = f_w_next
-    else:
-        w_next = state.x_cur
-        if state.memo_cur is None:
-            state.memo_cur = full_eval(problem, state.x_cur, state.counters)
-        f_w_next = state.memo_cur
-        memo_next = None
-
-    state.x_prev2 = state.x_prev
-    state.x_prev = state.x_cur
-    state.x_cur = x_next
-    state.w_prev = state.w_cur
-    state.w_cur = w_next
+def _advance(state: SolverState, x_next: BlockVector, w_next: BlockVector,
+             f_w_next: DualVector, memo_next: DualVector | None,
+             delta: DualVector) -> SolverState:
+    """Shift iterates, anchors and memos by one step."""
+    state.x_prev2, state.x_prev, state.x_cur = state.x_prev, state.x_cur, x_next
+    state.w_prev, state.w_cur = state.w_cur, w_next
     state.f_w = f_w_next
-    state.memo_prev = state.memo_cur
-    state.memo_cur = memo_next
+    state.memo_prev, state.memo_cur = state.memo_cur, memo_next
     state.delta_last = delta
     state.iteration += 1
     return state
+
+
+def step(state: SolverState, problem: FiniteSumProblem,
+         params: SolverParams) -> SolverState:
+    """One iteration; mutates and returns the state.
+
+    Randomness order: distribution, batch, coin.
+    """
+    dist = make_distribution(problem, state.x_cur, state.w_prev)
+    if dist.degenerate:
+        batch = []
+    else:
+        batch = sample_batch(dist, params.b, state.rng)
+        state.sampled_iterations += 1
+    delta = estimator_delta(state.f_w, problem, state.x_cur, state.w_prev,
+                            batch, dist, state.counters)
+
+    x_next = fused_inertial_prox(problem.geometry, state.x_cur, state.x_prev,
+                                 params.gamma, delta, params.alpha)
+
+    if float(state.rng.random()) < params.p:
+        state.anchor_refreshes += 1
+        f_w_next = full_eval(problem, x_next, state.counters)
+        return _advance(state, x_next, x_next, f_w_next, f_w_next, delta)
+    if state.memo_cur is None:
+        state.memo_cur = full_eval(problem, state.x_cur, state.counters)
+    return _advance(state, x_next, state.x_cur, state.memo_cur, None, delta)
+
+
+def _vr_forb_step(state: SolverState, problem: FiniteSumProblem,
+                  params: VrForbParams,
+                  uniform: OracleSampleDistribution) -> SolverState:
+    """One reflected step with a single uniform index and a sticky anchor."""
+    batch = sample_batch(uniform, 1, state.rng)
+    state.sampled_iterations += 1
+    delta = estimator_delta(state.f_w, problem, state.x_cur, state.w_prev,
+                            batch, uniform, state.counters)
+    x_next = fused_inertial_prox(problem.geometry, state.x_cur, state.x_cur, 1.0,
+                                 delta, params.tau)
+    if float(state.rng.random()) < params.p:
+        state.anchor_refreshes += 1
+        f_w_next = full_eval(problem, x_next, state.counters)
+        return _advance(state, x_next, x_next, f_w_next, f_w_next, delta)
+    return _advance(state, x_next, state.w_cur, state.f_w, None, delta)
 
 
 @dataclass
@@ -315,7 +319,6 @@ class MetricContext:
     """Everything a metric callable may need at a logging point."""
 
     problem: FiniteSumProblem
-    geometry: GeometrySpec
     params: object
     state: SolverState
     point: BlockVector
@@ -323,67 +326,70 @@ class MetricContext:
     iteration: int
 
 
-def _record(records, metric_fns, ctx, wall_ms):
-    values = {name: float(fn(ctx)) for name, fn in metric_fns.items()}
-    records.append(TraceRecord(
-        iteration=ctx.iteration,
-        component_calls=ctx.state.counters.component_calls,
-        full_evals=ctx.state.counters.full_evals,
-        metrics=values,
-        wall_ms=wall_ms,
-    ))
-
-
-def run(problem: FiniteSumProblem, params: SolverParams, *,
-        geometry: GeometrySpec | None = None,
-        start: BlockVector | None = None,
-        metric_fns: dict | None = None,
-        log_stride: int = 100,
-        timing: bool = False,
-        exact_delta: bool = False,
-        warn_step_bound: bool = True) -> RunTrace:
-    """Run the main iteration, logging metrics every ``log_stride`` steps.
+def _drive(problem: FiniteSumProblem, params: SolverParams | VrForbParams,
+           start: BlockVector | None, advance, metric_fns: dict | None,
+           log_stride: int, timing: bool) -> RunTrace:
+    """Shared loop: ``advance(state)`` once per iteration, logging every
+    ``log_stride`` steps.
 
     Iteration 0 (the common start) is always logged, as is the final
     iteration.  The ergodic point is the running average of the iterates
     produced so far (the start itself at iteration 0).  Wall times are
     reported as 0.0 unless ``timing`` is set, keeping traces byte-stable.
+    A non-finite iterate at a logging point raises DivergenceError; both
+    prox maps keep a non-finite iterate non-finite, so checking at the
+    logging points misses no divergence.
     """
-    geometry = problem.geometry if geometry is None else geometry
     if log_stride < 1:
         raise ParameterError(f"log_stride must be >= 1, got {log_stride}")
-    if metric_fns is None:
-        metric_fns = {}
-    # The step bound belongs to the monotone ergodic guarantee; other
-    # regimes use deliberately larger steps, so no warning there.
-    if warn_step_bound and problem.tag == "monotone":
-        check_alpha_bound(params, problem.lip, problem.lip_bar)
-
-    state = init_state(problem, params, start=start, geometry=geometry)
-    ergodic_sum = BlockVector.zeros(geometry.block_dims)
+    metric_fns = {} if metric_fns is None else metric_fns
+    state = init_state(problem, params, start)
+    ergodic_sum = BlockVector.zeros(problem.geometry.block_dims)
+    records: list[TraceRecord] = []
     t0 = time.perf_counter()
 
-    def elapsed_ms():
-        return (time.perf_counter() - t0) * 1000.0 if timing else 0.0
+    def log(it: int, ergodic: BlockVector) -> None:
+        if not all(np.isfinite(block).all() for block in state.x_cur.blocks):
+            raise DivergenceError(
+                f"iterate has non-finite entries at iteration {it}; "
+                "the step size is too large for this problem"
+            )
+        wall_ms = (time.perf_counter() - t0) * 1000.0 if timing else 0.0
+        ctx = MetricContext(problem, params, state, state.x_cur, ergodic, it)
+        records.append(TraceRecord(
+            iteration=it,
+            component_calls=state.counters.component_calls,
+            full_evals=state.counters.full_evals,
+            metrics={name: float(fn(ctx)) for name, fn in metric_fns.items()},
+            wall_ms=wall_ms,
+        ))
 
-    records: list[TraceRecord] = []
-    ctx = MetricContext(problem, geometry, params, state, state.x_cur,
-                        state.x_cur.copy(), 0)
-    _record(records, metric_fns, ctx, elapsed_ms())
-
+    log(0, state.x_cur.copy())
     for s in range(params.iters):
-        step(state, problem, geometry, params, exact_delta=exact_delta)
+        advance(state)
         ergodic_sum.add_scaled_(state.x_cur, 1.0)
         it = s + 1
         if it % log_stride == 0 or it == params.iters:
-            ergodic = ergodic_sum.scaled(1.0 / it)
-            ctx = MetricContext(problem, geometry, params, state, state.x_cur,
-                                ergodic, it)
-            _record(records, metric_fns, ctx, elapsed_ms())
+            log(it, ergodic_sum.scaled(1.0 / it))
 
     final_ergodic = (ergodic_sum.scaled(1.0 / params.iters)
                      if params.iters > 0 else state.x_cur.copy())
     return RunTrace(records=records, final_state=state, ergodic=final_ergodic)
+
+
+def run(problem: FiniteSumProblem, params: SolverParams, *,
+        start: BlockVector | None = None,
+        metric_fns: dict | None = None,
+        log_stride: int = 100,
+        timing: bool = False,
+        warn_step_bound: bool = True) -> RunTrace:
+    """Run the main iteration through the shared loop (see ``_drive``)."""
+    # The step bound belongs to the monotone ergodic guarantee; other
+    # regimes use deliberately larger steps, so no warning there.
+    if warn_step_bound and problem.tag == "monotone":
+        check_alpha_bound(params, problem.lip, problem.lip_bar)
+    return _drive(problem, params, start, lambda st: step(st, problem, params),
+                  metric_fns, log_stride, timing)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +397,6 @@ def run(problem: FiniteSumProblem, params: SolverParams, *,
 # ---------------------------------------------------------------------------
 
 def run_vr_forb(problem: FiniteSumProblem, params: VrForbParams, *,
-                geometry: GeometrySpec | None = None,
                 start: BlockVector | None = None,
                 metric_fns: dict | None = None,
                 log_stride: int = 100,
@@ -403,73 +408,14 @@ def run_vr_forb(problem: FiniteSumProblem, params: VrForbParams, *,
     and otherwise stays at w_s (it does not fall back to x_s).  Prox
     steps are plain (no inertial mixing), with step size tau.
     """
-    geometry = problem.geometry if geometry is None else geometry
-    if log_stride < 1:
-        raise ParameterError(f"log_stride must be >= 1, got {log_stride}")
-    if metric_fns is None:
-        metric_fns = {}
-
-    x0 = uniform_start(geometry) if start is None else start.copy()
-    check_layout(geometry, x0, "start")
-    state = SolverState(
-        x_cur=x0, x_prev=x0.copy(), w_cur=x0.copy(), w_prev=x0.copy(),
-        f_w=None, rng=np.random.default_rng(params.seed),
-    )
-    state.f_w = full_eval(problem, x0, state.counters)
-
     uniform = OracleSampleDistribution(
         r=np.full(problem.n_rows, 1.0 / problem.n_rows),
         c=np.full(problem.n_cols, 1.0 / problem.n_cols),
         degenerate=False,
     )
-
-    ergodic_sum = BlockVector.zeros(geometry.block_dims)
-    t0 = time.perf_counter()
-
-    def elapsed_ms():
-        return (time.perf_counter() - t0) * 1000.0 if timing else 0.0
-
-    records: list[TraceRecord] = []
-    ctx = MetricContext(problem, geometry, params, state, state.x_cur,
-                        state.x_cur.copy(), 0)
-    _record(records, metric_fns, ctx, elapsed_ms())
-
-    for s in range(params.iters):
-        batch = sample_batch(uniform, 1, state.rng)
-        state.sampled_iterations += 1
-        delta = estimator_delta(state.f_w, problem, state.x_cur, state.w_prev,
-                                batch, uniform, state.counters)
-        x_next = fused_inertial_prox(geometry, state.x_cur, state.x_cur, 1.0,
-                                     delta, params.tau)
-        heads = float(state.rng.random()) < params.p
-        if heads:
-            state.anchor_refreshes += 1
-            w_next = x_next
-            f_w_next = full_eval(problem, x_next, state.counters)
-        else:
-            w_next = state.w_cur
-            f_w_next = state.f_w
-
-        state.x_prev2 = state.x_prev
-        state.x_prev = state.x_cur
-        state.x_cur = x_next
-        state.w_prev = state.w_cur
-        state.w_cur = w_next
-        state.f_w = f_w_next
-        state.delta_last = delta
-        state.iteration += 1
-
-        ergodic_sum.add_scaled_(state.x_cur, 1.0)
-        it = s + 1
-        if it % log_stride == 0 or it == params.iters:
-            ergodic = ergodic_sum.scaled(1.0 / it)
-            ctx = MetricContext(problem, geometry, params, state, state.x_cur,
-                                ergodic, it)
-            _record(records, metric_fns, ctx, elapsed_ms())
-
-    final_ergodic = (ergodic_sum.scaled(1.0 / params.iters)
-                     if params.iters > 0 else state.x_cur.copy())
-    return RunTrace(records=records, final_state=state, ergodic=final_ergodic)
+    return _drive(problem, params, start,
+                  lambda st: _vr_forb_step(st, problem, params, uniform),
+                  metric_fns, log_stride, timing)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +423,6 @@ def run_vr_forb(problem: FiniteSumProblem, params: VrForbParams, *,
 # ---------------------------------------------------------------------------
 
 def extragradient_solve(problem: FiniteSumProblem, *,
-                        geometry: GeometrySpec | None = None,
                         start: BlockVector | None = None,
                         step_size: float | None = None,
                         tol: float = 1e-12,
@@ -488,7 +433,7 @@ def extragradient_solve(problem: FiniteSumProblem, *,
     residual |z - P(z - eta F(z))| / eta falls below tol.  Refuses the
     entropy geometry (it is a Euclidean method).
     """
-    geometry = problem.geometry if geometry is None else geometry
+    geometry = problem.geometry
     if geometry.kind == ENTROPY_SIMPLEX:
         raise DomainError("extragradient reference is Euclidean only")
     eta = 0.5 / problem.lip if step_size is None else float(step_size)

@@ -267,9 +267,6 @@ class SingleLinearSimplexProblem(FiniteSumProblem):
         same = np.array_equal(u.blocks[0], v.blocks[0])
         return OracleSampleDistribution(r=np.ones(1), c=np.ones(1), degenerate=same)
 
-    def jacobian_transpose_apply(self, w):
-        return BlockVector((self.mat.T @ w.blocks[0],))
-
 
 def random_feasible(spec: GeometrySpec, rng: np.random.Generator) -> BlockVector:
     """A random point in the constraint set (interior for simplices)."""

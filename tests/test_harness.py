@@ -263,6 +263,17 @@ def test_exit_code_4_on_unwritable_output(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["matrix-game", "nonmonotone-game"])
+def test_exit_code_5_on_divergence(tmp_path, capsys, experiment):
+    out = tmp_path / "out"
+    code = main(["--experiment", experiment, "--n", "20", "--gamma", "0.5",
+                 "--p", "0.1", "--alpha", "1e308", "--iters", "200", "--seeds", "0",
+                 "--out", str(out)])
+    assert code == 5
+    assert "diverged:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_run_seeds_is_serial_on_calling_thread():
     caller = threading.get_ident()
     calls = []

@@ -16,13 +16,11 @@ from bvrvi.geometry import (
     dual_norm,
 )
 from bvrvi.metrics import (
-    GapValue,
     TheoryBounds,
     distance_to_solution,
     duality_gap,
     linear_rate_envelope,
     natural_residual,
-    restricted_gap,
     scaled_norm_residual,
     theory_bounds,
 )
@@ -93,33 +91,6 @@ def test_duality_gap_rejects_other_operators():
         duality_gap(problem, BlockVector.zeros(problem.geometry.block_dims))
 
 
-def test_restricted_gap_exact_for_matrix_games():
-    problem = build_matrix_game(5, 8)
-    rng = np.random.default_rng(1)
-    z = helpers.random_feasible(problem.geometry, rng)
-    gap = restricted_gap(problem, z)
-    assert isinstance(gap, GapValue)
-    assert gap.exact
-    assert gap.value == pytest.approx(duality_gap(problem, z), rel=1e-15)
-
-
-def test_restricted_gap_lower_bound_for_regularized_game():
-    problem = build_regularized_game(6)
-    origin = BlockVector.zeros(problem.geometry.block_dims)
-    gap = restricted_gap(problem, origin, restarts=6, steps=400)
-    assert not gap.exact
-    # sup_u <F(u), 0 - u> = sup_u lam*|u|^2 = lam * 2 on the two unit balls;
-    # the ascent should reach the boundary value and never exceed it.
-    assert 0.0199 <= gap.value <= 0.02 + 1e-9
-    # Certified lower bound at sampled points.
-    rng = np.random.default_rng(3)
-    z = helpers.random_feasible(problem.geometry, rng)
-    gap_z = restricted_gap(problem, z, restarts=6, steps=400)
-    for _ in range(10):
-        u = helpers.random_feasible(problem.geometry, rng)
-        assert gap_z.value >= problem.full(u).dot(z - u) - 1e-9
-
-
 # ---------------------------------------------------------------------------
 # Residuals and distances.
 # ---------------------------------------------------------------------------
@@ -152,7 +123,7 @@ def test_natural_residual_free_geometry_identity():
     params = SolverParams(gamma=1.0, p=1.0, alpha=0.2, b=1, iters=1, seed=0)
     trace = run(problem, params, log_stride=1)
     state = trace.final_state
-    res = natural_residual(problem, state, geo, params.gamma, params.alpha)
+    res = natural_residual(problem, state, params.gamma, params.alpha)
     assert res == pytest.approx(dual_norm(geo, problem.full(state.x_cur)), rel=1e-12)
 
 
@@ -162,8 +133,7 @@ def test_natural_residual_vanishes_at_convergence():
                           b=fp["b"], iters=1500, seed=0)
     trace = run(problem, params, log_stride=1500)
     state = trace.final_state
-    res = natural_residual(problem, state, problem.geometry, params.gamma,
-                           params.alpha)
+    res = natural_residual(problem, state, params.gamma, params.alpha)
     assert res <= 1e-8
 
 
@@ -172,13 +142,13 @@ def test_natural_residual_refusals():
     params = SolverParams(gamma=0.5, p=0.2, alpha=0.01, b=1, iters=2, seed=0)
     trace = run(game, params, log_stride=1, warn_step_bound=False)
     with pytest.raises(DomainError):
-        natural_residual(game, trace.final_state, game.geometry, 0.5, 0.01)
+        natural_residual(game, trace.final_state, 0.5, 0.01)
     problem, fp = build_linear_rate_fixture("p-lt-1")
     from bvrvi.solver import init_state
     fresh = init_state(problem, SolverParams(gamma=0.5, p=0.5, alpha=0.1, b=1,
                                              iters=0))
     with pytest.raises(ParameterError):
-        natural_residual(problem, fresh, problem.geometry, 0.5, 0.1)
+        natural_residual(problem, fresh, 0.5, 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Finite-sum operators: oracles, sampling, constants, serialization."""
+"""Finite-sum operators: oracles, sampling, constants."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from bvrvi.errors import DataFormatError, ParameterError
+from bvrvi.errors import ParameterError
 from bvrvi.geometry import BlockVector, GeometrySpec, EUCLIDEAN_BALL, dual_norm, primal_norm
 from bvrvi.operators import (
     LINEAR_RATE_VARIANTS,
@@ -18,10 +18,8 @@ from bvrvi.operators import (
     build_matrix_game,
     build_regularized_game,
     component_eval,
-    dump_matrix,
     estimator_delta,
     full_eval,
-    load_matrix,
     make_distribution,
     power_iteration_norm,
     sample_batch,
@@ -374,28 +372,3 @@ def test_power_iteration_matches_numpy():
         assert power_iteration_norm(mat) == pytest.approx(
             np.linalg.norm(mat, 2), rel=1e-12)
     assert power_iteration_norm(np.zeros((4, 4))) == 0.0
-
-
-def test_matrix_serialization_roundtrip(tmp_path):
-    mat = np.array([[1.0, 2.0], [3.0, 4.0]])
-    path = tmp_path / "game.bvrvi"
-    dump_matrix(path, mat)
-    raw = path.read_bytes()
-    assert raw[:6] == b"BVRVI1"
-    assert raw[6:14] == (2).to_bytes(4, "little") * 2
-    assert len(raw) == 6 + 8 + 32
-    back = load_matrix(path)
-    assert np.array_equal(back, mat)
-
-
-def test_matrix_serialization_errors(tmp_path):
-    path = tmp_path / "bad.bvrvi"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-    with pytest.raises(DataFormatError, match="header"):
-        load_matrix(path)
-    dump_matrix(path, np.ones((2, 2)))
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(DataFormatError, match="payload"):
-        load_matrix(path)
-    with pytest.raises(ParameterError):
-        dump_matrix(tmp_path / "x.bvrvi", np.ones(3))

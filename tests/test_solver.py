@@ -143,7 +143,7 @@ def test_first_step_skips_sampling_entirely():
     params = SolverParams(gamma=0.9, p=0.55, alpha=0.1, b=3, iters=1, seed=31)
     state = init_state(problem, params)
     from bvrvi.solver import step
-    step(state, problem, problem.geometry, params)
+    step(state, problem, params)
     expected_heads = float(np.random.default_rng(31).random()) < params.p
     assert (state.anchor_refreshes == 1) == expected_heads
     assert state.sampled_iterations == 0
@@ -220,20 +220,6 @@ def test_vr_forb_anchor_sticks_instead_of_falling_back():
 # Reductions and reference solvers.
 # ---------------------------------------------------------------------------
 
-def test_exact_delta_reduces_to_reflected_iteration():
-    problem = build_matrix_game(5, 21)
-    geo = problem.geometry
-    params = SolverParams(gamma=1.0, p=1.0, alpha=0.05, b=1, iters=60, seed=2)
-    store = []
-    run(problem, params, metric_fns={"c": _capture_metric(store)}, log_stride=1,
-        exact_delta=True, warn_step_bound=False)
-    ref = helpers.reflected_reference(problem.full, geo, uniform_start(geo),
-                                      params.alpha, 60)
-    for it, pt, _, _ in store:
-        diff = np.max(np.abs((pt - ref[it]).flat()))
-        assert diff <= 1e-12
-
-
 def test_iterates_become_feasible_after_one_step():
     problem = build_regularized_game(8)
     start = BlockVector.full(problem.geometry.block_dims, 1.0)
@@ -248,26 +234,31 @@ def test_iterates_become_feasible_after_one_step():
 
 
 def test_ergodic_average_is_mean_of_produced_iterates():
+    """Both solvers share one loop: logging points, ergodic mean
+    and log_stride validation behave the same."""
     problem = build_matrix_game(4, 5)
-    params = SolverParams(gamma=0.5, p=0.3, alpha=0.02, b=1, iters=7, seed=1)
-    store = []
-    trace = run(problem, params, metric_fns={"c": _capture_metric(store)},
-                log_stride=3, warn_step_bound=False)
-    pts = {it: pt for it, pt, _, _ in store}
-    assert sorted(pts) == [0, 3, 6, 7]
-    again = []
-    run(problem, params, metric_fns={"c": _capture_metric(again)}, log_stride=1,
-        warn_step_bound=False)
-    all_pts = [pt for _, pt, _, _ in again]
-    mean7 = BlockVector.zeros(problem.geometry.block_dims)
-    for pt in all_pts[1:]:
-        mean7.add_scaled_(pt, 1.0 / 7.0)
-    assert trace.ergodic.allclose(mean7, rtol=1e-12, atol=1e-15)
-    erg3 = {it: e for it, _, _, e in store}[3]
-    mean3 = BlockVector.zeros(problem.geometry.block_dims)
-    for pt in all_pts[1:4]:
-        mean3.add_scaled_(pt, 1.0 / 3.0)
-    assert erg3.allclose(mean3, rtol=1e-12, atol=1e-15)
+    for solve, params in (
+            (run, SolverParams(gamma=0.5, p=0.3, alpha=0.02, b=1, iters=7, seed=1)),
+            (run_vr_forb, VrForbParams(tau=0.02, p=0.3, iters=7, seed=1))):
+        with pytest.raises(ParameterError, match="log_stride"):
+            solve(problem, params, log_stride=0)
+        store = []
+        trace = solve(problem, params, metric_fns={"c": _capture_metric(store)},
+                      log_stride=3)
+        pts = {it: pt for it, pt, _, _ in store}
+        assert sorted(pts) == [0, 3, 6, 7]
+        again = []
+        solve(problem, params, metric_fns={"c": _capture_metric(again)}, log_stride=1)
+        all_pts = [pt for _, pt, _, _ in again]
+        mean7 = BlockVector.zeros(problem.geometry.block_dims)
+        for pt in all_pts[1:]:
+            mean7.add_scaled_(pt, 1.0 / 7.0)
+        assert trace.ergodic.allclose(mean7, rtol=1e-12, atol=1e-15)
+        erg3 = {it: e for it, _, _, e in store}[3]
+        mean3 = BlockVector.zeros(problem.geometry.block_dims)
+        for pt in all_pts[1:4]:
+            mean3.add_scaled_(pt, 1.0 / 3.0)
+        assert erg3.allclose(mean3, rtol=1e-12, atol=1e-15)
 
 
 def test_zero_iteration_run_logs_start_only():
