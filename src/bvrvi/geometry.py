@@ -12,8 +12,12 @@ generates its Bregman divergence.  Three kinds are supported:
 * ``EuclideanBall``: half squared norm on a product of centered balls.
 * ``EuclideanFree``: half squared norm on the whole space.
 
-All operations are pure functions over :class:`BlockVector`.  The fused
-inertial prox applies the update
+All operations are pure functions over :class:`BlockVector`, which
+stores its blocks end to end in one contiguous float64 array (``data``)
+and exposes each block as a view into it.  Elementwise work runs as one
+numpy call on ``data``; reductions that define a block's norm or its
+simplex normalization run per block.  The fused inertial prox applies
+the update
 
     z_plus = argmin_{z in K} { <alpha*v, z> + gamma*D(z, x_cur)
                                + (1 - gamma)*D(z, x_prev) }
@@ -43,21 +47,47 @@ DEFAULT_FLOOR = 1e-300
 
 
 class BlockVector:
-    """An ordered tuple of dense real blocks.
+    """An ordered tuple of dense real blocks, stored in one flat array.
 
-    Blocks are float64 arrays.  Instances are cheap containers; the
-    arithmetic helpers allocate fresh vectors except for the in-place
+    ``data`` is a contiguous float64 array holding the blocks end to end;
+    ``blocks`` is a tuple of 1-D views into it, built on first access and
+    cached, so writing through a block writes ``data`` and the reverse.
+    Elementwise arithmetic is one numpy call on ``data`` whatever the
+    number of blocks; reductions (``dot``, the norms) stay per block.
+    The constructor copies several blocks into one new array and keeps a
+    single contiguous float64 block as it is, without a copy.
+    The helpers allocate fresh vectors except for the in-place
     accumulator :meth:`add_scaled_`.  ``block_dims`` is fixed at
-    construction, so treat ``blocks`` as read-only: rebinding it would
-    leave the layout stale.
+    construction, so treat ``data`` and ``blocks`` as bound for life:
+    rebinding either would leave the layout or the views stale.
     """
 
-    __slots__ = ("blocks", "block_dims")
+    __slots__ = ("data", "block_dims", "_blocks")
 
     def __init__(self, blocks):
         blocks = tuple(blocks)
-        self.blocks: tuple[np.ndarray, ...] = blocks
-        self.block_dims: tuple[int, ...] = tuple([b.size for b in blocks])
+        self.block_dims: tuple[int, ...] = tuple([np.size(b) for b in blocks])
+        if len(blocks) == 1:
+            self.data = np.ascontiguousarray(blocks[0], dtype=np.float64).reshape(-1)
+        else:
+            self.data = np.concatenate(
+                [np.asarray(b, dtype=np.float64).reshape(-1) for b in blocks])
+        self._blocks = None
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        views = self._blocks
+        if views is None:
+            if len(self.block_dims) == 1:
+                views = (self.data,)
+            else:
+                out, off = [], 0
+                for d in self.block_dims:
+                    out.append(self.data[off : off + d])
+                    off += d
+                views = tuple(out)
+            self._blocks = views
+        return views
 
     def __repr__(self) -> str:
         return f"BlockVector(blocks={self.blocks!r})"
@@ -69,29 +99,29 @@ class BlockVector:
     @classmethod
     def from_flat(cls, flat, block_dims) -> "BlockVector":
         flat = np.asarray(flat, dtype=np.float64)
+        block_dims = tuple(int(d) for d in block_dims)
         if flat.size != sum(block_dims):
             raise LayoutError(
                 f"flat vector of size {flat.size} cannot be split into blocks {block_dims}"
             )
-        out, off = [], 0
-        for d in block_dims:
-            out.append(flat[off : off + d].copy())
-            off += d
-        return cls(tuple(out))
+        return _wrap(flat.reshape(-1).copy(), block_dims)
 
     @classmethod
     def zeros(cls, block_dims) -> "BlockVector":
-        return cls(tuple(np.zeros(d) for d in block_dims))
+        block_dims = tuple(int(d) for d in block_dims)
+        return _wrap(np.zeros(sum(block_dims)), block_dims)
 
     @classmethod
     def full(cls, block_dims, value: float) -> "BlockVector":
-        return cls(tuple(np.full(d, float(value)) for d in block_dims))
+        block_dims = tuple(int(d) for d in block_dims)
+        return _wrap(np.full(sum(block_dims), float(value)), block_dims)
 
     def flat(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
+        """The blocks end to end, as an array independent of ``data``."""
+        return self.data.copy()
 
     def copy(self) -> "BlockVector":
-        return BlockVector(tuple(b.copy() for b in self.blocks))
+        return _wrap(self.data.copy(), self.block_dims)
 
     def dot(self, other: "BlockVector") -> float:
         _check_same_layout(self, other)
@@ -100,27 +130,39 @@ class BlockVector:
     def add_scaled_(self, other: "BlockVector", coeff: float) -> "BlockVector":
         """In-place ``self += coeff * other``; returns self."""
         _check_same_layout(self, other)
-        for a, b in zip(self.blocks, other.blocks):
-            a += coeff * b
+        # a + 1.0*b == a + b and a + (-1.0)*b == a - b bit for bit, so the
+        # unit coefficients skip the scaled temporary.
+        if coeff == 1.0:
+            self.data += other.data
+        elif coeff == -1.0:
+            self.data -= other.data
+        else:
+            self.data += coeff * other.data
         return self
 
     def scaled(self, coeff: float) -> "BlockVector":
-        return BlockVector(tuple(coeff * b for b in self.blocks))
+        return _wrap(coeff * self.data, self.block_dims)
 
     def __add__(self, other: "BlockVector") -> "BlockVector":
         _check_same_layout(self, other)
-        return BlockVector(tuple(a + b for a, b in zip(self.blocks, other.blocks)))
+        return _wrap(self.data + other.data, self.block_dims)
 
     def __sub__(self, other: "BlockVector") -> "BlockVector":
         _check_same_layout(self, other)
-        return BlockVector(tuple(a - b for a, b in zip(self.blocks, other.blocks)))
+        return _wrap(self.data - other.data, self.block_dims)
 
     def allclose(self, other: "BlockVector", rtol=1e-12, atol=0.0) -> bool:
         _check_same_layout(self, other)
-        return all(
-            np.allclose(a, b, rtol=rtol, atol=atol)
-            for a, b in zip(self.blocks, other.blocks)
-        )
+        return bool(np.allclose(self.data, other.data, rtol=rtol, atol=atol))
+
+
+def _wrap(data: np.ndarray, block_dims: tuple[int, ...]) -> BlockVector:
+    """A vector over an already flat float64 array, without copying it."""
+    vec = object.__new__(BlockVector)
+    vec.data = data
+    vec.block_dims = block_dims
+    vec._blocks = None
+    return vec
 
 
 #: Dual-space vectors share the container; the alias marks intent.
@@ -170,21 +212,18 @@ def check_layout(spec: GeometrySpec, vec: BlockVector, name: str = "vector") -> 
         )
 
 
-def _entropy_guard(spec: GeometrySpec, x: BlockVector, name: str) -> list[np.ndarray]:
-    """Clamp simplex blocks at the floor; negative coordinates are a domain error."""
-    out = []
-    for b in x.blocks:
-        if np.any(b < 0):
-            raise DomainError(f"{name} has negative coordinates; entropy domain is x >= 0")
-        out.append(np.maximum(b, spec.floor))
-    return out
+def _entropy_guard(spec: GeometrySpec, x: BlockVector, name: str) -> np.ndarray:
+    """Flat copy of x clamped at the floor; negative coordinates are a domain error."""
+    if x.data.min() < 0:
+        raise DomainError(f"{name} has negative coordinates; entropy domain is x >= 0")
+    return np.maximum(x.data, spec.floor)
 
 
 def mirror_map(spec: GeometrySpec, x: BlockVector) -> DualVector:
     """Gradient of the distance-generating function at x."""
     check_layout(spec, x, "x")
     if spec.kind == ENTROPY_SIMPLEX:
-        return BlockVector(tuple(1.0 + np.log(b) for b in _entropy_guard(spec, x, "x")))
+        return _wrap(1.0 + np.log(_entropy_guard(spec, x, "x")), x.block_dims)
     return x.copy()
 
 
@@ -257,24 +296,26 @@ def fused_inertial_prox(
     if spec.kind == ENTROPY_SIMPLEX:
         cur = _entropy_guard(spec, x_cur, "x_cur")
         prev = _entropy_guard(spec, x_prev, "x_prev")
-        out = []
-        for bc, bp, bv in zip(cur, prev, v.blocks):
-            # Log-space combination; the max shift makes the exponentials safe.
-            t = gamma * np.log(bc) + (1.0 - gamma) * np.log(bp) - alpha * bv
-            t -= np.max(t)
-            e = np.exp(t)
-            out.append(e / np.sum(e))
-        return BlockVector(tuple(out))
+        # Log-space combination; the per-block max shift makes the
+        # exponentials safe, the per-block sum normalizes each simplex.
+        out = _wrap(gamma * np.log(cur) + (1.0 - gamma) * np.log(prev) - alpha * v.data,
+                    spec.block_dims)
+        for blk in out.blocks:
+            blk -= np.max(blk)
+        np.exp(out.data, out=out.data)
+        for blk in out.blocks:
+            blk /= np.sum(blk)
+        return out
 
-    out = []
-    for bc, bp, bv in zip(x_cur.blocks, x_prev.blocks, v.blocks):
-        y = gamma * bc + (1.0 - gamma) * bp - alpha * bv
-        if spec.kind == EUCLIDEAN_BALL:
-            nrm = float(np.linalg.norm(y))
+    out = _wrap(gamma * x_cur.data + (1.0 - gamma) * x_prev.data - alpha * v.data,
+                spec.block_dims)
+    if spec.kind == EUCLIDEAN_BALL:
+        for blk in out.blocks:
+            # The 2-norm of a 1-D block, as np.linalg.norm computes it.
+            nrm = math.sqrt(blk @ blk)
             if nrm > spec.radius:
-                y = y * (spec.radius / nrm)
-        out.append(y)
-    return BlockVector(tuple(out))
+                blk *= spec.radius / nrm
+    return out
 
 
 def prox_inequality_check(

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .errors import ParameterError, PremiseViolationError, UsageError
+from .errors import ParameterError, UsageError
 from .geometry import BlockVector, dual_norm, primal_norm
 from .operators import (
     FiniteSumProblem,

@@ -29,9 +29,9 @@ from .geometry import (
     ENTROPY_SIMPLEX,
     BlockVector,
     GeometrySpec,
+    _wrap,
     check_layout,
     dual_norm,
-    mirror_map,
 )
 from .operators import FiniteSumProblem, MatrixGameOperator
 
@@ -53,13 +53,13 @@ def scaled_norm_residual(z: BlockVector, scale_dim: int) -> float:
     """Flat Euclidean norm of z divided by sqrt(scale_dim)."""
     if scale_dim < 1:
         raise ParameterError(f"scale_dim must be >= 1, got {scale_dim}")
-    return float(np.linalg.norm(z.flat())) / math.sqrt(scale_dim)
+    return float(np.linalg.norm(z.data)) / math.sqrt(scale_dim)
 
 
 def distance_to_solution(problem: FiniteSumProblem, z: BlockVector) -> float:
     if problem.solution is None:
         raise ParameterError("problem has no recorded solution")
-    return float(np.linalg.norm((z - problem.solution).flat()))
+    return float(np.linalg.norm((z - problem.solution).data))
 
 
 def natural_residual(problem: FiniteSumProblem, state, gamma: float,
@@ -72,7 +72,9 @@ def natural_residual(problem: FiniteSumProblem, state, gamma: float,
     lies in F(x_cur) + normal cone at x_cur, so |u|_* -> 0 certifies
     approach to a solution.  Entropy geometries are refused: their mirror
     map gradient is unbounded and the certificate norm is meaningless
-    there.
+    there.  On the Euclidean kinds the mirror map is the identity, so the
+    iterates enter u as they are; F(x_cur) is taken from ``memo_cur``
+    when the solver already holds it.
     """
     geometry = problem.geometry
     if geometry.kind == ENTROPY_SIMPLEX:
@@ -81,12 +83,13 @@ def natural_residual(problem: FiniteSumProblem, state, gamma: float,
         raise ParameterError("natural residual needs at least one completed step")
     if alpha <= 0.0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    g_cur = mirror_map(geometry, state.x_cur)
-    g_prev = mirror_map(geometry, state.x_prev)
-    g_prev2 = mirror_map(geometry, state.x_prev2)
-    drift = g_cur - (g_prev.scaled(gamma) + g_prev2.scaled(1.0 - gamma))
-    u = problem.full(state.x_cur) - state.delta_last - drift.scaled(1.0 / alpha)
-    return dual_norm(geometry, u)
+    for name in ("x_cur", "x_prev", "x_prev2", "delta_last"):
+        check_layout(geometry, getattr(state, name), name)
+    f_cur = state.memo_cur if state.memo_cur is not None else problem.full(state.x_cur)
+    drift = state.x_cur.data - (gamma * state.x_prev.data
+                                + (1.0 - gamma) * state.x_prev2.data)
+    u = f_cur.data - state.delta_last.data - (1.0 / alpha) * drift
+    return dual_norm(geometry, _wrap(u, geometry.block_dims))
 
 
 # ---------------------------------------------------------------------------

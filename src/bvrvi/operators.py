@@ -34,8 +34,14 @@ from .geometry import (
     BlockVector,
     DualVector,
     GeometrySpec,
+    _wrap,
     check_layout,
 )
+
+#: Payoff rows per pass of a bilinear full evaluation.  A chunk of 128
+#: rows of a 1000-column payoff is 1 MB, small enough to stay in cache
+#: between its two products, so the payoff is read from memory once.
+_FULL_CHUNK_ROWS = 128
 
 
 @dataclass
@@ -82,13 +88,36 @@ class OracleSampleDistribution:
         object.__setattr__(self, "cum_c", np.cumsum(self.c))
 
 
-def _normalized_abs_diff(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, bool]:
-    """|u - v| scaled to sum 1; uniform fallback when the difference is zero."""
-    w = np.abs(u - v)
+def _normalized(w: np.ndarray) -> tuple[np.ndarray, bool]:
+    """w >= 0 scaled to sum 1; uniform fallback when w is zero."""
     s = float(np.sum(w))
     if s == 0.0:
-        return np.full(u.size, 1.0 / u.size), True
+        return np.full(w.size, 1.0 / w.size), True
     return w / s, False
+
+
+def _bilinear_full(payoff: np.ndarray, zd: np.ndarray) -> np.ndarray:
+    """Flat (A^T y, -(A x)) for z = (x, y), in one pass over the payoff.
+
+    Each chunk of rows feeds both products while it is in cache.  With
+    a single chunk (n <= _FULL_CHUNK_ROWS) the result is bit-identical
+    to the two plain mat-vecs; with more, A^T y is summed chunk by chunk
+    and may differ from them in its last bits.
+    """
+    n = payoff.shape[0]
+    x, y = zd[:n], zd[n:]
+    out = np.empty(2 * n)
+    aty, ax = out[:n], out[n:]
+    for lo in range(0, n, _FULL_CHUNK_ROWS):
+        hi = min(lo + _FULL_CHUNK_ROWS, n)
+        rows = payoff[lo:hi]
+        np.matmul(rows, x, out=ax[lo:hi])
+        if lo == 0:
+            np.matmul(y[lo:hi], rows, out=aty)
+        else:
+            aty += y[lo:hi] @ rows
+    np.negative(ax, out=ax)
+    return out
 
 
 class FiniteSumProblem:
@@ -137,7 +166,9 @@ class MatrixGameOperator(FiniteSumProblem):
     variance-reduced difference will be evaluated at: row weights are the
     normalized coordinate gaps of the second block, column weights those
     of the first block.  Components are importance weighted so a single
-    (row, column) draw is unbiased for F.
+    (row, column) draw is unbiased for F.  A full evaluation makes a
+    single pass over the payoff, forming both products from each chunk of
+    rows while it is in cache (see ``_bilinear_full``).
     """
 
     def __init__(self, payoff: np.ndarray):
@@ -159,8 +190,7 @@ class MatrixGameOperator(FiniteSumProblem):
 
     def full(self, z: BlockVector) -> DualVector:
         check_layout(self.geometry, z, "z")
-        x, y = z.blocks
-        return BlockVector((self.payoff.T @ y, -(self.payoff @ x)))
+        return _wrap(_bilinear_full(self.payoff, z.data), self.geometry.block_dims)
 
     def component(self, xi, z, dist) -> DualVector:
         i, k = self._check_index(xi)
@@ -170,16 +200,18 @@ class MatrixGameOperator(FiniteSumProblem):
             raise RuntimeError(
                 f"internal invariant violation: drew zero-probability index {xi}"
             )
-        x, y = z.blocks
-        top = (y[i] / ri) * self.payoff[i, :]
-        bot = -(x[k] / ck) * self.payoff[:, k]
-        return BlockVector((top, bot))
+        n, zd = self.n, z.data
+        out = np.empty(2 * n)
+        np.multiply(self.payoff[i, :], zd[n + i] / ri, out=out[:n])
+        np.multiply(self.payoff[:, k], -(zd[k] / ck), out=out[n:])
+        return _wrap(out, self.geometry.block_dims)
 
     def distribution(self, u, v) -> OracleSampleDistribution:
         check_layout(self.geometry, u, "u")
         check_layout(self.geometry, v, "v")
-        r, r_zero = _normalized_abs_diff(u.blocks[1], v.blocks[1])
-        c, c_zero = _normalized_abs_diff(u.blocks[0], v.blocks[0])
+        gap = np.abs(u.data - v.data)
+        r, r_zero = _normalized(gap[self.n:])
+        c, c_zero = _normalized(gap[:self.n])
         return OracleSampleDistribution(r=r, c=c, degenerate=r_zero and c_zero)
 
 
@@ -224,9 +256,9 @@ class RegularizedGameOperator(FiniteSumProblem):
 
     def full(self, z: BlockVector) -> DualVector:
         check_layout(self.geometry, z, "z")
-        x, y = z.blocks
-        return BlockVector((self.payoff.T @ y - self.lam * x,
-                            -(self.payoff @ x) - self.lam * y))
+        out = _bilinear_full(self.payoff, z.data)
+        out -= self.lam * z.data
+        return _wrap(out, self.geometry.block_dims)
 
     def component(self, xi, z, dist) -> DualVector:
         i, k = self._check_index(xi)
@@ -236,15 +268,17 @@ class RegularizedGameOperator(FiniteSumProblem):
             raise RuntimeError(
                 f"internal invariant violation: drew zero-probability index {xi}"
             )
-        x, y = z.blocks
-        top = (y[i] / ri) * self.payoff[i, :] - self.lam * x
-        bot = -(x[k] / ck) * self.payoff[:, k] - self.lam * y
-        return BlockVector((top, bot))
+        n, zd = self.n, z.data
+        out = np.empty(2 * n)
+        np.multiply(self.payoff[i, :], zd[n + i] / ri, out=out[:n])
+        np.multiply(self.payoff[:, k], -(zd[k] / ck), out=out[n:])
+        out -= self.lam * zd
+        return _wrap(out, self.geometry.block_dims)
 
     def distribution(self, u, v) -> OracleSampleDistribution:
         check_layout(self.geometry, u, "u")
         check_layout(self.geometry, v, "v")
-        same = all(np.array_equal(a, b) for a, b in zip(u.blocks, v.blocks))
+        same = bool((u.data == v.data).all())
         return self._dist_degenerate if same else self._dist
 
 
@@ -302,7 +336,7 @@ class AffineStrongOperator(FiniteSumProblem):
 
     def full(self, z: BlockVector) -> DualVector:
         check_layout(self.geometry, z, "z")
-        return BlockVector((self.h @ z.blocks[0] + self.q,))
+        return _wrap(self.h @ z.data + self.q, self.geometry.block_dims)
 
     def component(self, xi, z, dist) -> DualVector:
         i, _ = self._check_index(xi)
@@ -313,12 +347,13 @@ class AffineStrongOperator(FiniteSumProblem):
                 f"internal invariant violation: drew zero-probability index {xi}"
             )
         scale = 1.0 / (self.n_rows * ri)
-        return BlockVector((scale * (self._component_mats[i] @ z.blocks[0] + self.q),))
+        return _wrap(scale * (self._component_mats[i] @ z.data + self.q),
+                     self.geometry.block_dims)
 
     def distribution(self, u, v) -> OracleSampleDistribution:
         check_layout(self.geometry, u, "u")
         check_layout(self.geometry, v, "v")
-        same = all(np.array_equal(a, b) for a, b in zip(u.blocks, v.blocks))
+        same = bool((u.data == v.data).all())
         return self._uniform_degenerate if same else self._uniform
 
 
@@ -360,7 +395,7 @@ def sample_batch(dist: OracleSampleDistribution, b: int,
     cols = np.searchsorted(dist.cum_c, rng.random(b), side="right")
     rows = np.minimum(rows, dist.r.size - 1)
     cols = np.minimum(cols, dist.c.size - 1)
-    return [(int(i), int(k)) for i, k in zip(rows, cols)]
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def estimator_delta(f_anchor: DualVector, problem: FiniteSumProblem,
@@ -377,11 +412,13 @@ def estimator_delta(f_anchor: DualVector, problem: FiniteSumProblem,
     batch = list(batch)
     if not batch:
         raise ParameterError("batch is empty; draw at least one component index")
-    acc = BlockVector.zeros(f_anchor.block_dims)
+    acc = np.zeros(f_anchor.data.size)
     for xi in batch:
-        acc.add_scaled_(component_eval(problem, xi, x_s, dist, counters), 1.0)
-        acc.add_scaled_(component_eval(problem, xi, w_prev, dist, counters), -1.0)
-    return f_anchor + acc.scaled(1.0 / len(batch))
+        acc += component_eval(problem, xi, x_s, dist, counters).data
+        acc -= component_eval(problem, xi, w_prev, dist, counters).data
+    acc *= 1.0 / len(batch)
+    acc += f_anchor.data
+    return _wrap(acc, f_anchor.block_dims)
 
 
 # ---------------------------------------------------------------------------

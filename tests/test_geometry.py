@@ -67,6 +67,51 @@ def test_blockvector_arithmetic():
     assert BlockVector.full((2,), 0.5).allclose(BlockVector.from_arrays(([0.5, 0.5],)))
 
 
+def test_blockvector_blocks_are_views_of_data():
+    v = BlockVector.from_arrays(([1.0, 2.0], [3.0, 4.0, 5.0]))
+    v.blocks[1][0] = -7.0
+    assert v.data.tolist() == [1.0, 2.0, -7.0, 4.0, 5.0]
+    v.data[1] = 9.0
+    assert v.blocks[0].tolist() == [1.0, 9.0]
+
+
+def test_blockvector_constructor_gives_contiguous_float64_data():
+    v = BlockVector((np.array([1, 2]), np.array([3, 4, 5])))
+    assert v.block_dims == (2, 3)
+    assert v.data.dtype == np.float64 and v.data.flags.c_contiguous
+    assert v.data.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert all(b.dtype == np.float64 and b.ndim == 1 for b in v.blocks)
+
+
+def test_blockvector_flat_does_not_alias_data():
+    v = BlockVector.from_arrays(([1.0, 2.0], [3.0]))
+    f = v.flat()
+    f[0] = 100.0
+    assert v.data[0] == 1.0
+
+
+def test_blockvector_flat_arithmetic_matches_per_block_numpy():
+    rng = np.random.default_rng(3)
+    a_blocks = [rng.standard_normal(d) for d in (4, 1, 6)]
+    b_blocks = [rng.standard_normal(d) for d in (4, 1, 6)]
+    a, b = BlockVector(a_blocks), BlockVector(b_blocks)
+
+    def same_bytes(vec, blocks):
+        return [x.tobytes() for x in vec.blocks] == [y.tobytes() for y in blocks]
+
+    assert same_bytes(a + b, [x + y for x, y in zip(a_blocks, b_blocks)])
+    assert same_bytes(a - b, [x - y for x, y in zip(a_blocks, b_blocks)])
+    assert same_bytes(a.scaled(0.37), [0.37 * x for x in a_blocks])
+    for coeff in (1.0, -1.0, 0.37):
+        acc = a.copy()
+        acc.add_scaled_(b, coeff)
+        ref = [x.copy() for x in a_blocks]
+        for x, y in zip(ref, b_blocks):
+            x += coeff * y
+        assert same_bytes(acc, ref)
+    assert same_bytes(a, a_blocks) and same_bytes(b, b_blocks)
+
+
 def test_blockvector_layout_mismatch_raises():
     a = BlockVector.zeros((2,))
     b = BlockVector.zeros((3,))

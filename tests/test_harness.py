@@ -3,6 +3,7 @@
 import hashlib
 import math
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,6 @@ from bvrvi.cli import main
 from bvrvi.errors import ParameterError, UsageError
 from bvrvi.harness import (
     CSV_COLUMNS,
-    ExperimentConfig,
     _run_seeds,
     aggregate_rows,
     canonical_text,
@@ -266,9 +266,16 @@ def test_exit_code_4_on_unwritable_output(tmp_path, capsys):
 @pytest.mark.parametrize("experiment", ["matrix-game", "nonmonotone-game"])
 def test_exit_code_5_on_divergence(tmp_path, capsys, experiment):
     out = tmp_path / "out"
-    code = main(["--experiment", experiment, "--n", "20", "--gamma", "0.5",
-                 "--p", "0.1", "--alpha", "1e308", "--iters", "200", "--seeds", "0",
-                 "--out", str(out)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["--experiment", experiment, "--n", "20", "--gamma", "0.5",
+                     "--p", "0.1", "--alpha", "1e308", "--iters", "200", "--seeds", "0",
+                     "--out", str(out)])
+    # The monotone game warns that alpha exceeds its step bound; numpy's
+    # overflow and invalid-value warnings must not leak.
+    leaked = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)
+              and "exceeds the guaranteed step bound" not in str(w.message)]
+    assert leaked == []
     assert code == 5
     assert "diverged:" in capsys.readouterr().err
     assert list(out.iterdir()) == []

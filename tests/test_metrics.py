@@ -1,7 +1,6 @@
 """Gap, residual and distance metrics; guarantee constants and premises."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +134,22 @@ def test_natural_residual_vanishes_at_convergence():
     state = trace.final_state
     res = natural_residual(problem, state, params.gamma, params.alpha)
     assert res <= 1e-8
+
+
+def test_natural_residual_same_with_and_without_memo():
+    """memo_cur holds F(x_cur); recomputing it gives the same certificate."""
+    lin, fp = build_linear_rate_fixture("p-eq-1")
+    game = build_regularized_game(6)
+    cases = [(lin, SolverParams(gamma=fp["gamma"], p=fp["p"], alpha=fp["alpha"],
+                                b=fp["b"], iters=7, seed=1)),
+             (game, preset_example42("alg12", iters=7, seed=1))]
+    for problem, params in cases:
+        state = run(problem, params, log_stride=7).final_state
+        assert state.memo_cur is not None
+        memo = natural_residual(problem, state, params.gamma, params.alpha)
+        state.memo_cur = None
+        fresh = natural_residual(problem, state, params.gamma, params.alpha)
+        assert memo == fresh
 
 
 def test_natural_residual_refusals():

@@ -202,6 +202,49 @@ def test_estimator_empty_batch_raises():
         estimator_delta(problem.full(w), problem, x, w, [], dist)
 
 
+def _per_block_estimator(f_anchor, problem, x_s, w_prev, batch, dist):
+    """The estimator accumulated block by block over problem.component."""
+    acc = [np.zeros(d) for d in f_anchor.block_dims]
+    for xi in batch:
+        for a, c in zip(acc, problem.component(xi, x_s, dist).blocks):
+            a += c
+        for a, c in zip(acc, problem.component(xi, w_prev, dist).blocks):
+            a -= c
+    return [f + (1.0 / len(batch)) * a for f, a in zip(f_anchor.blocks, acc)]
+
+
+@pytest.mark.parametrize("kind", ["matrix-game", "regularized-game", "affine"])
+def test_estimator_matches_per_block_reference_bit_for_bit(kind):
+    if kind == "matrix-game":
+        problem = build_matrix_game(7, 3)
+    elif kind == "regularized-game":
+        problem = build_regularized_game(6)
+    else:
+        problem, _ = build_linear_rate_fixture("p-lt-1")
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        x = helpers.random_feasible(problem.geometry, rng)
+        w = helpers.random_feasible(problem.geometry, rng)
+        dist = make_distribution(problem, x, w)
+        batch = sample_batch(dist, 5, rng)
+        anchor = problem.full(w)
+        got = estimator_delta(anchor, problem, x, w, batch, dist)
+        ref = _per_block_estimator(anchor, problem, x, w, batch, dist)
+        assert [b.tobytes() for b in got.blocks] == [b.tobytes() for b in ref]
+
+
+@pytest.mark.parametrize("n", [5, 300])
+def test_matrix_game_full_matches_plain_matvecs(n):
+    """n = 300 leaves a partial last chunk of the single-pass evaluation."""
+    rng = np.random.default_rng(n)
+    problem = MatrixGameOperator(rng.standard_normal((n, n)))
+    z = helpers.random_feasible(problem.geometry, rng)
+    x, y = z.blocks
+    got = problem.full(z)
+    for block, ref in zip(got.blocks, (problem.payoff.T @ y, -(problem.payoff @ x))):
+        assert np.max(np.abs(block - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_estimator_mean_and_variance_bound_monte_carlo():
     """Sampled direction is unbiased and meets the variance bound."""
     problem = build_matrix_game(4, 55)
