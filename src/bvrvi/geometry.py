@@ -16,7 +16,10 @@ All operations are pure functions over :class:`BlockVector`, which
 stores its blocks end to end in one contiguous float64 array (``data``)
 and exposes each block as a view into it.  Elementwise work runs as one
 numpy call on ``data``; reductions that define a block's norm or its
-simplex normalization run per block.  The fused inertial prox applies
+simplex normalization run per block.  The layout is part of the
+contract: block j takes the ``block_dims[j]`` entries that follow the
+first j blocks, so the oracles in ``operators`` write their output
+blocks into one flat array and wrap it with :meth:`BlockVector.wrap`.  The fused inertial prox applies
 the update
 
     z_plus = argmin_{z in K} { <alpha*v, z> + gamma*D(z, x_cur)
@@ -78,19 +81,27 @@ class BlockVector:
     def blocks(self) -> tuple[np.ndarray, ...]:
         views = self._blocks
         if views is None:
-            if len(self.block_dims) == 1:
-                views = (self.data,)
-            else:
-                out, off = [], 0
-                for d in self.block_dims:
-                    out.append(self.data[off : off + d])
-                    off += d
-                views = tuple(out)
-            self._blocks = views
+            out, off = [], 0
+            for d in self.block_dims:
+                out.append(self.data[off : off + d])
+                off += d
+            views = self._blocks = tuple(out)
         return views
 
     def __repr__(self) -> str:
         return f"BlockVector(blocks={self.blocks!r})"
+
+    @classmethod
+    def wrap(cls, data: np.ndarray, block_dims: tuple[int, ...]) -> "BlockVector":
+        """A vector over an already flat float64 array, without copying it.
+
+        ``data`` must hold the blocks of ``block_dims`` end to end.
+        """
+        vec = object.__new__(cls)
+        vec.data = data
+        vec.block_dims = block_dims
+        vec._blocks = None
+        return vec
 
     @classmethod
     def from_arrays(cls, arrays) -> "BlockVector":
@@ -104,24 +115,24 @@ class BlockVector:
             raise LayoutError(
                 f"flat vector of size {flat.size} cannot be split into blocks {block_dims}"
             )
-        return _wrap(flat.reshape(-1).copy(), block_dims)
+        return cls.wrap(flat.reshape(-1).copy(), block_dims)
 
     @classmethod
     def zeros(cls, block_dims) -> "BlockVector":
         block_dims = tuple(int(d) for d in block_dims)
-        return _wrap(np.zeros(sum(block_dims)), block_dims)
+        return cls.wrap(np.zeros(sum(block_dims)), block_dims)
 
     @classmethod
     def full(cls, block_dims, value: float) -> "BlockVector":
         block_dims = tuple(int(d) for d in block_dims)
-        return _wrap(np.full(sum(block_dims), float(value)), block_dims)
+        return cls.wrap(np.full(sum(block_dims), float(value)), block_dims)
 
     def flat(self) -> np.ndarray:
         """The blocks end to end, as an array independent of ``data``."""
         return self.data.copy()
 
     def copy(self) -> "BlockVector":
-        return _wrap(self.data.copy(), self.block_dims)
+        return BlockVector.wrap(self.data.copy(), self.block_dims)
 
     def dot(self, other: "BlockVector") -> float:
         _check_same_layout(self, other)
@@ -130,39 +141,23 @@ class BlockVector:
     def add_scaled_(self, other: "BlockVector", coeff: float) -> "BlockVector":
         """In-place ``self += coeff * other``; returns self."""
         _check_same_layout(self, other)
-        # a + 1.0*b == a + b and a + (-1.0)*b == a - b bit for bit, so the
-        # unit coefficients skip the scaled temporary.
-        if coeff == 1.0:
-            self.data += other.data
-        elif coeff == -1.0:
-            self.data -= other.data
-        else:
-            self.data += coeff * other.data
+        self.data += coeff * other.data
         return self
 
     def scaled(self, coeff: float) -> "BlockVector":
-        return _wrap(coeff * self.data, self.block_dims)
+        return BlockVector.wrap(coeff * self.data, self.block_dims)
 
     def __add__(self, other: "BlockVector") -> "BlockVector":
         _check_same_layout(self, other)
-        return _wrap(self.data + other.data, self.block_dims)
+        return BlockVector.wrap(self.data + other.data, self.block_dims)
 
     def __sub__(self, other: "BlockVector") -> "BlockVector":
         _check_same_layout(self, other)
-        return _wrap(self.data - other.data, self.block_dims)
+        return BlockVector.wrap(self.data - other.data, self.block_dims)
 
     def allclose(self, other: "BlockVector", rtol=1e-12, atol=0.0) -> bool:
         _check_same_layout(self, other)
         return bool(np.allclose(self.data, other.data, rtol=rtol, atol=atol))
-
-
-def _wrap(data: np.ndarray, block_dims: tuple[int, ...]) -> BlockVector:
-    """A vector over an already flat float64 array, without copying it."""
-    vec = object.__new__(BlockVector)
-    vec.data = data
-    vec.block_dims = block_dims
-    vec._blocks = None
-    return vec
 
 
 #: Dual-space vectors share the container; the alias marks intent.
@@ -223,7 +218,7 @@ def mirror_map(spec: GeometrySpec, x: BlockVector) -> DualVector:
     """Gradient of the distance-generating function at x."""
     check_layout(spec, x, "x")
     if spec.kind == ENTROPY_SIMPLEX:
-        return _wrap(1.0 + np.log(_entropy_guard(spec, x, "x")), x.block_dims)
+        return BlockVector.wrap(1.0 + np.log(_entropy_guard(spec, x, "x")), x.block_dims)
     return x.copy()
 
 
@@ -298,8 +293,9 @@ def fused_inertial_prox(
         prev = _entropy_guard(spec, x_prev, "x_prev")
         # Log-space combination; the per-block max shift makes the
         # exponentials safe, the per-block sum normalizes each simplex.
-        out = _wrap(gamma * np.log(cur) + (1.0 - gamma) * np.log(prev) - alpha * v.data,
-                    spec.block_dims)
+        out = BlockVector.wrap(
+            gamma * np.log(cur) + (1.0 - gamma) * np.log(prev) - alpha * v.data,
+            spec.block_dims)
         for blk in out.blocks:
             blk -= np.max(blk)
         np.exp(out.data, out=out.data)
@@ -307,8 +303,9 @@ def fused_inertial_prox(
             blk /= np.sum(blk)
         return out
 
-    out = _wrap(gamma * x_cur.data + (1.0 - gamma) * x_prev.data - alpha * v.data,
-                spec.block_dims)
+    out = BlockVector.wrap(
+        gamma * x_cur.data + (1.0 - gamma) * x_prev.data - alpha * v.data,
+        spec.block_dims)
     if spec.kind == EUCLIDEAN_BALL:
         for blk in out.blocks:
             # The 2-norm of a 1-D block, as np.linalg.norm computes it.

@@ -29,9 +29,9 @@ from .geometry import (
     ENTROPY_SIMPLEX,
     BlockVector,
     GeometrySpec,
-    _wrap,
     check_layout,
     dual_norm,
+    mirror_map,
 )
 from .operators import FiniteSumProblem, MatrixGameOperator
 
@@ -72,9 +72,7 @@ def natural_residual(problem: FiniteSumProblem, state, gamma: float,
     lies in F(x_cur) + normal cone at x_cur, so |u|_* -> 0 certifies
     approach to a solution.  Entropy geometries are refused: their mirror
     map gradient is unbounded and the certificate norm is meaningless
-    there.  On the Euclidean kinds the mirror map is the identity, so the
-    iterates enter u as they are; F(x_cur) is taken from ``memo_cur``
-    when the solver already holds it.
+    there.
     """
     geometry = problem.geometry
     if geometry.kind == ENTROPY_SIMPLEX:
@@ -83,13 +81,13 @@ def natural_residual(problem: FiniteSumProblem, state, gamma: float,
         raise ParameterError("natural residual needs at least one completed step")
     if alpha <= 0.0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    for name in ("x_cur", "x_prev", "x_prev2", "delta_last"):
-        check_layout(geometry, getattr(state, name), name)
-    f_cur = state.memo_cur if state.memo_cur is not None else problem.full(state.x_cur)
-    drift = state.x_cur.data - (gamma * state.x_prev.data
-                                + (1.0 - gamma) * state.x_prev2.data)
-    u = f_cur.data - state.delta_last.data - (1.0 / alpha) * drift
-    return dual_norm(geometry, _wrap(u, geometry.block_dims))
+    check_layout(geometry, state.delta_last, "delta_last")
+    g_cur = mirror_map(geometry, state.x_cur).data
+    g_prev = mirror_map(geometry, state.x_prev).data
+    g_prev2 = mirror_map(geometry, state.x_prev2).data
+    drift = g_cur - (gamma * g_prev + (1.0 - gamma) * g_prev2)
+    u = problem.full(state.x_cur).data - state.delta_last.data - (1.0 / alpha) * drift
+    return dual_norm(geometry, BlockVector.wrap(u, geometry.block_dims))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .geometry import (
     BlockVector,
     DualVector,
     GeometrySpec,
-    _wrap,
     check_layout,
 )
 
@@ -96,7 +95,7 @@ def _normalized(w: np.ndarray) -> tuple[np.ndarray, bool]:
     return w / s, False
 
 
-def _bilinear_full(payoff: np.ndarray, zd: np.ndarray) -> np.ndarray:
+def _bilinear_full(payoff: np.ndarray, z: BlockVector) -> np.ndarray:
     """Flat (A^T y, -(A x)) for z = (x, y), in one pass over the payoff.
 
     Each chunk of rows feeds both products while it is in cache.  With
@@ -105,7 +104,7 @@ def _bilinear_full(payoff: np.ndarray, zd: np.ndarray) -> np.ndarray:
     and may differ from them in its last bits.
     """
     n = payoff.shape[0]
-    x, y = zd[:n], zd[n:]
+    x, y = z.blocks
     out = np.empty(2 * n)
     aty, ax = out[:n], out[n:]
     for lo in range(0, n, _FULL_CHUNK_ROWS):
@@ -190,7 +189,7 @@ class MatrixGameOperator(FiniteSumProblem):
 
     def full(self, z: BlockVector) -> DualVector:
         check_layout(self.geometry, z, "z")
-        return _wrap(_bilinear_full(self.payoff, z.data), self.geometry.block_dims)
+        return BlockVector.wrap(_bilinear_full(self.payoff, z), self.geometry.block_dims)
 
     def component(self, xi, z, dist) -> DualVector:
         i, k = self._check_index(xi)
@@ -200,18 +199,19 @@ class MatrixGameOperator(FiniteSumProblem):
             raise RuntimeError(
                 f"internal invariant violation: drew zero-probability index {xi}"
             )
-        n, zd = self.n, z.data
+        n = self.n
+        x, y = z.blocks
         out = np.empty(2 * n)
-        np.multiply(self.payoff[i, :], zd[n + i] / ri, out=out[:n])
-        np.multiply(self.payoff[:, k], -(zd[k] / ck), out=out[n:])
-        return _wrap(out, self.geometry.block_dims)
+        np.multiply(self.payoff[i, :], y[i] / ri, out=out[:n])
+        np.multiply(self.payoff[:, k], -(x[k] / ck), out=out[n:])
+        return BlockVector.wrap(out, self.geometry.block_dims)
 
     def distribution(self, u, v) -> OracleSampleDistribution:
         check_layout(self.geometry, u, "u")
         check_layout(self.geometry, v, "v")
-        gap = np.abs(u.data - v.data)
-        r, r_zero = _normalized(gap[self.n:])
-        c, c_zero = _normalized(gap[:self.n])
+        gap_x, gap_y = BlockVector.wrap(np.abs(u.data - v.data), u.block_dims).blocks
+        r, r_zero = _normalized(gap_y)
+        c, c_zero = _normalized(gap_x)
         return OracleSampleDistribution(r=r, c=c, degenerate=r_zero and c_zero)
 
 
@@ -256,9 +256,9 @@ class RegularizedGameOperator(FiniteSumProblem):
 
     def full(self, z: BlockVector) -> DualVector:
         check_layout(self.geometry, z, "z")
-        out = _bilinear_full(self.payoff, z.data)
+        out = _bilinear_full(self.payoff, z)
         out -= self.lam * z.data
-        return _wrap(out, self.geometry.block_dims)
+        return BlockVector.wrap(out, self.geometry.block_dims)
 
     def component(self, xi, z, dist) -> DualVector:
         i, k = self._check_index(xi)
@@ -268,12 +268,13 @@ class RegularizedGameOperator(FiniteSumProblem):
             raise RuntimeError(
                 f"internal invariant violation: drew zero-probability index {xi}"
             )
-        n, zd = self.n, z.data
+        n = self.n
+        x, y = z.blocks
         out = np.empty(2 * n)
-        np.multiply(self.payoff[i, :], zd[n + i] / ri, out=out[:n])
-        np.multiply(self.payoff[:, k], -(zd[k] / ck), out=out[n:])
-        out -= self.lam * zd
-        return _wrap(out, self.geometry.block_dims)
+        np.multiply(self.payoff[i, :], y[i] / ri, out=out[:n])
+        np.multiply(self.payoff[:, k], -(x[k] / ck), out=out[n:])
+        out -= self.lam * z.data
+        return BlockVector.wrap(out, self.geometry.block_dims)
 
     def distribution(self, u, v) -> OracleSampleDistribution:
         check_layout(self.geometry, u, "u")
@@ -336,7 +337,7 @@ class AffineStrongOperator(FiniteSumProblem):
 
     def full(self, z: BlockVector) -> DualVector:
         check_layout(self.geometry, z, "z")
-        return _wrap(self.h @ z.data + self.q, self.geometry.block_dims)
+        return BlockVector.wrap(self.h @ z.data + self.q, self.geometry.block_dims)
 
     def component(self, xi, z, dist) -> DualVector:
         i, _ = self._check_index(xi)
@@ -347,7 +348,7 @@ class AffineStrongOperator(FiniteSumProblem):
                 f"internal invariant violation: drew zero-probability index {xi}"
             )
         scale = 1.0 / (self.n_rows * ri)
-        return _wrap(scale * (self._component_mats[i] @ z.data + self.q),
+        return BlockVector.wrap(scale * (self._component_mats[i] @ z.data + self.q),
                      self.geometry.block_dims)
 
     def distribution(self, u, v) -> OracleSampleDistribution:
@@ -418,7 +419,7 @@ def estimator_delta(f_anchor: DualVector, problem: FiniteSumProblem,
         acc -= component_eval(problem, xi, w_prev, dist, counters).data
     acc *= 1.0 / len(batch)
     acc += f_anchor.data
-    return _wrap(acc, f_anchor.block_dims)
+    return BlockVector.wrap(acc, f_anchor.block_dims)
 
 
 # ---------------------------------------------------------------------------

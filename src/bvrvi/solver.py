@@ -338,9 +338,9 @@ def _drive(problem: FiniteSumProblem, params: SolverParams | VrForbParams,
     reported as 0.0 unless ``timing`` is set, keeping traces byte-stable.
     A non-finite iterate at a logging point raises DivergenceError; both
     prox maps keep a non-finite iterate non-finite, so checking at the
-    logging points misses no divergence.  The loop silences numpy's
-    overflow and invalid-value warnings: the DivergenceError is the
-    report.
+    logging points misses no divergence.  Each step runs with numpy's
+    overflow and invalid-value warnings silenced: the DivergenceError is
+    the report.  Metrics and the ergodic sum still warn.
     """
     if log_stride < 1:
         raise ParameterError(f"log_stride must be >= 1, got {log_stride}")
@@ -367,13 +367,13 @@ def _drive(problem: FiniteSumProblem, params: SolverParams | VrForbParams,
         ))
 
     log(0, state.x_cur.copy())
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(params.iters):
+    for s in range(params.iters):
+        with np.errstate(over="ignore", invalid="ignore"):
             advance(state)
-            ergodic_sum.add_scaled_(state.x_cur, 1.0)
-            it = s + 1
-            if it % log_stride == 0 or it == params.iters:
-                log(it, ergodic_sum.scaled(1.0 / it))
+        ergodic_sum.add_scaled_(state.x_cur, 1.0)
+        it = s + 1
+        if it % log_stride == 0 or it == params.iters:
+            log(it, ergodic_sum.scaled(1.0 / it))
 
     final_ergodic = (ergodic_sum.scaled(1.0 / params.iters)
                      if params.iters > 0 else state.x_cur.copy())

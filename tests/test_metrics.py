@@ -136,22 +136,6 @@ def test_natural_residual_vanishes_at_convergence():
     assert res <= 1e-8
 
 
-def test_natural_residual_same_with_and_without_memo():
-    """memo_cur holds F(x_cur); recomputing it gives the same certificate."""
-    lin, fp = build_linear_rate_fixture("p-eq-1")
-    game = build_regularized_game(6)
-    cases = [(lin, SolverParams(gamma=fp["gamma"], p=fp["p"], alpha=fp["alpha"],
-                                b=fp["b"], iters=7, seed=1)),
-             (game, preset_example42("alg12", iters=7, seed=1))]
-    for problem, params in cases:
-        state = run(problem, params, log_stride=7).final_state
-        assert state.memo_cur is not None
-        memo = natural_residual(problem, state, params.gamma, params.alpha)
-        state.memo_cur = None
-        fresh = natural_residual(problem, state, params.gamma, params.alpha)
-        assert memo == fresh
-
-
 def test_natural_residual_refusals():
     game = build_matrix_game(3, 0)
     params = SolverParams(gamma=0.5, p=0.2, alpha=0.01, b=1, iters=2, seed=0)
