@@ -56,7 +56,7 @@ class BlockVector:
     ``blocks`` is a tuple of 1-D views into it, built on first access and
     cached, so writing through a block writes ``data`` and the reverse.
     Elementwise arithmetic is one numpy call on ``data`` whatever the
-    number of blocks; reductions (``dot``, the norms) stay per block.
+    number of blocks; reductions (the norms) stay per block.
     The constructor copies several blocks into one new array and keeps a
     single contiguous float64 block as it is, without a copy.
     The helpers allocate fresh vectors except for the in-place
@@ -104,20 +104,6 @@ class BlockVector:
         return vec
 
     @classmethod
-    def from_arrays(cls, arrays) -> "BlockVector":
-        return cls(tuple(np.asarray(a, dtype=np.float64) for a in arrays))
-
-    @classmethod
-    def from_flat(cls, flat, block_dims) -> "BlockVector":
-        flat = np.asarray(flat, dtype=np.float64)
-        block_dims = tuple(int(d) for d in block_dims)
-        if flat.size != sum(block_dims):
-            raise LayoutError(
-                f"flat vector of size {flat.size} cannot be split into blocks {block_dims}"
-            )
-        return cls.wrap(flat.reshape(-1).copy(), block_dims)
-
-    @classmethod
     def zeros(cls, block_dims) -> "BlockVector":
         block_dims = tuple(int(d) for d in block_dims)
         return cls.wrap(np.zeros(sum(block_dims)), block_dims)
@@ -127,16 +113,8 @@ class BlockVector:
         block_dims = tuple(int(d) for d in block_dims)
         return cls.wrap(np.full(sum(block_dims), float(value)), block_dims)
 
-    def flat(self) -> np.ndarray:
-        """The blocks end to end, as an array independent of ``data``."""
-        return self.data.copy()
-
     def copy(self) -> "BlockVector":
         return BlockVector.wrap(self.data.copy(), self.block_dims)
-
-    def dot(self, other: "BlockVector") -> float:
-        _check_same_layout(self, other)
-        return float(sum(float(a @ b) for a, b in zip(self.blocks, other.blocks)))
 
     def add_scaled_(self, other: "BlockVector", coeff: float) -> "BlockVector":
         """In-place ``self += coeff * other``; returns self."""
@@ -155,10 +133,6 @@ class BlockVector:
         _check_same_layout(self, other)
         return BlockVector.wrap(self.data - other.data, self.block_dims)
 
-    def allclose(self, other: "BlockVector", rtol=1e-12, atol=0.0) -> bool:
-        _check_same_layout(self, other)
-        return bool(np.allclose(self.data, other.data, rtol=rtol, atol=atol))
-
 
 #: Dual-space vectors share the container; the alias marks intent.
 DualVector = BlockVector
@@ -171,7 +145,6 @@ class GeometrySpec:
     kind: str
     block_dims: tuple[int, ...]
     radius: float = 1.0
-    floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -181,10 +154,6 @@ class GeometrySpec:
         if self.kind == EUCLIDEAN_BALL and self.radius <= 0:
             raise ParameterError(f"ball radius must be positive, got {self.radius}")
         object.__setattr__(self, "block_dims", tuple(int(d) for d in self.block_dims))
-
-    @property
-    def dim(self) -> int:
-        return sum(self.block_dims)
 
     @property
     def mirror_lipschitz(self) -> float:
@@ -207,34 +176,19 @@ def check_layout(spec: GeometrySpec, vec: BlockVector, name: str = "vector") -> 
         )
 
 
-def _entropy_guard(spec: GeometrySpec, x: BlockVector, name: str) -> np.ndarray:
+def _entropy_guard(x: BlockVector, name: str) -> np.ndarray:
     """Flat copy of x clamped at the floor; negative coordinates are a domain error."""
     if x.data.min() < 0:
         raise DomainError(f"{name} has negative coordinates; entropy domain is x >= 0")
-    return np.maximum(x.data, spec.floor)
+    return np.maximum(x.data, DEFAULT_FLOOR)
 
 
 def mirror_map(spec: GeometrySpec, x: BlockVector) -> DualVector:
     """Gradient of the distance-generating function at x."""
     check_layout(spec, x, "x")
     if spec.kind == ENTROPY_SIMPLEX:
-        return BlockVector.wrap(1.0 + np.log(_entropy_guard(spec, x, "x")), x.block_dims)
+        return BlockVector.wrap(1.0 + np.log(_entropy_guard(x, "x")), x.block_dims)
     return x.copy()
-
-
-def mirror_inverse(spec: GeometrySpec, d: DualVector) -> BlockVector:
-    """Inverse of :func:`mirror_map` on its image."""
-    check_layout(spec, d, "d")
-    if spec.kind == ENTROPY_SIMPLEX:
-        out = []
-        for b in d.blocks:
-            with np.errstate(over="ignore"):
-                v = np.exp(b - 1.0)
-            if not np.all(np.isfinite(v)):
-                raise DomainError("mirror_inverse overflow: exp(d - 1) is not finite")
-            out.append(v)
-        return BlockVector(tuple(out))
-    return d.copy()
 
 
 def bregman_divergence(spec: GeometrySpec, x: BlockVector, y: BlockVector) -> float:
@@ -257,7 +211,7 @@ def bregman_divergence(spec: GeometrySpec, x: BlockVector, y: BlockVector) -> fl
             total += float(np.sum(bx[pos] * np.log(bx[pos] / by[pos])))
             total += float(np.sum(by) - np.sum(bx))
         return total
-    diff = x.flat() - y.flat()
+    diff = x.data - y.data
     return 0.5 * float(diff @ diff)
 
 
@@ -289,8 +243,8 @@ def fused_inertial_prox(
     check_layout(spec, v, "v")
 
     if spec.kind == ENTROPY_SIMPLEX:
-        cur = _entropy_guard(spec, x_cur, "x_cur")
-        prev = _entropy_guard(spec, x_prev, "x_prev")
+        cur = _entropy_guard(x_cur, "x_cur")
+        prev = _entropy_guard(x_prev, "x_prev")
         # Log-space combination; the per-block max shift makes the
         # exponentials safe, the per-block sum normalizes each simplex.
         out = BlockVector.wrap(
@@ -315,38 +269,6 @@ def fused_inertial_prox(
     return out
 
 
-def prox_inequality_check(
-    spec: GeometrySpec,
-    z_plus: BlockVector,
-    z: BlockVector,
-    z1: BlockVector,
-    z2: BlockVector,
-    gamma: float,
-    alpha: float,
-    v: DualVector,
-    tol: float = 1e-8,
-) -> bool:
-    """Three-point optimality test for the fused prox output.
-
-    With z_plus the prox of direction v anchored at (z1, z2), every
-    feasible z must satisfy
-
-        alpha*<v, z - z_plus> >= D(z, z_plus)
-            + gamma*(D(z_plus, z1) - D(z, z1))
-            + (1 - gamma)*(D(z_plus, z2) - D(z, z2))
-
-    up to the tolerance.  Returns True when the inequality holds.
-    """
-    _check_step_params(gamma, alpha)
-    lhs = alpha * v.dot(z - z_plus)
-    rhs = bregman_divergence(spec, z, z_plus)
-    rhs += gamma * (bregman_divergence(spec, z_plus, z1) - bregman_divergence(spec, z, z1))
-    rhs += (1.0 - gamma) * (
-        bregman_divergence(spec, z_plus, z2) - bregman_divergence(spec, z, z2)
-    )
-    return lhs >= rhs - tol
-
-
 def primal_norm(spec: GeometrySpec, x: BlockVector) -> float:
     """Blockwise primal norm, combined in l2 across blocks."""
     check_layout(spec, x, "x")
@@ -361,42 +283,6 @@ def dual_norm(spec: GeometrySpec, d: DualVector) -> float:
     if spec.kind == ENTROPY_SIMPLEX:
         return math.sqrt(sum(float(np.max(np.abs(b))) ** 2 for b in d.blocks))
     return math.sqrt(sum(float(b @ b) for b in d.blocks))
-
-
-def is_feasible(spec: GeometrySpec, x: BlockVector, tol: float = 1e-9) -> bool:
-    check_layout(spec, x, "x")
-    if spec.kind == ENTROPY_SIMPLEX:
-        return all(
-            np.all(b >= -tol) and abs(float(np.sum(b)) - 1.0) <= tol for b in x.blocks
-        )
-    if spec.kind == EUCLIDEAN_BALL:
-        return all(float(np.linalg.norm(b)) <= spec.radius + tol for b in x.blocks)
-    return True
-
-
-def _project_simplex_block(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection of y onto the probability simplex (sort based)."""
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, y.size + 1)
-    cond = u - css / idx > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    lam = css[rho] / (rho + 1)
-    return np.maximum(y - lam, 0.0)
-
-
-def euclidean_project(spec: GeometrySpec, x: BlockVector) -> BlockVector:
-    """Euclidean projection onto the constraint set, blockwise."""
-    check_layout(spec, x, "x")
-    if spec.kind == ENTROPY_SIMPLEX:
-        return BlockVector(tuple(_project_simplex_block(b) for b in x.blocks))
-    if spec.kind == EUCLIDEAN_BALL:
-        out = []
-        for b in x.blocks:
-            nrm = float(np.linalg.norm(b))
-            out.append(b * (spec.radius / nrm) if nrm > spec.radius else b.copy())
-        return BlockVector(tuple(out))
-    return x.copy()
 
 
 def uniform_start(spec: GeometrySpec) -> BlockVector:

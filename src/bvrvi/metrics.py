@@ -34,19 +34,21 @@ from .geometry import (
     mirror_map,
 )
 from .operators import FiniteSumProblem, MatrixGameOperator
+from .solver import monotone_step_bound
 
 
 def duality_gap(problem: MatrixGameOperator, z: BlockVector) -> float:
     """max_i (A x)_i - min_j (A^T y)_j for a simplex matrix game.
 
     This equals the restricted gap over the full feasible set because the
-    operator is bilinear and the blocks are compact.
+    operator is bilinear and the blocks are compact.  Both products come
+    from one full evaluation F(z) = (A^T y, -(A x)), which reads the
+    payoff once.
     """
     if not isinstance(problem, MatrixGameOperator):
         raise ParameterError("duality_gap is defined for matrix games only")
-    check_layout(problem.geometry, z, "z")
-    x, y = z.blocks
-    return float(np.max(problem.payoff @ x) - np.min(problem.payoff.T @ y))
+    f_x, f_y = problem.full(z).blocks
+    return float(-np.min(f_y) - np.min(f_x))
 
 
 def scaled_norm_residual(z: BlockVector, scale_dim: int) -> float:
@@ -182,10 +184,7 @@ def theory_bounds(params, problem: FiniteSumProblem,
             need(p < gamma < 1.0,
                  f"ergodic regime needs p < gamma < 1, got p={p}, gamma={gamma}")
             if 0.0 < p < 1.0 and p < gamma < 1.0:
-                bound = min(
-                    (gamma - p) / (2.0 * (1.0 - p)),
-                    (1.0 - gamma) * b / ((1.0 - p) * (2.0 * lip_bar**2 + b * lip**2)),
-                )
+                bound = monotone_step_bound(gamma, p, b, lip, lip_bar)
                 need(alpha <= bound * (1.0 + 1e-12),
                      f"ergodic regime needs alpha <= min((gamma-p)/(2(1-p)), "
                      f"(1-gamma)b/((1-p)(2*Lbar^2+b*L^2))) = {bound!r}, got alpha={alpha!r}")
@@ -292,11 +291,3 @@ def theory_bounds(params, problem: FiniteSumProblem,
         raise PremiseViolationError("; ".join(failures))
     return TheoryBounds(checked=regimes, failures=tuple(failures), **out)
 
-
-def linear_rate_envelope(bounds: TheoryBounds, d0: float, iterations) -> np.ndarray:
-    """sqrt(envelope_coeff * D(x*, x0) / rate^s) at the given iterations."""
-    rate = bounds.theta if bounds.theta is not None else bounds.varsigma
-    if rate is None or bounds.envelope_coeff is None:
-        raise ParameterError("bounds carry no geometric rate")
-    its = np.asarray(list(iterations), dtype=np.float64)
-    return np.sqrt(bounds.envelope_coeff * d0 / np.power(rate, its))

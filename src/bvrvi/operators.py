@@ -61,9 +61,6 @@ class OracleCounters:
     def record_component(self, units: int = 1) -> None:
         self.component_calls += units
 
-    def copy(self) -> "OracleCounters":
-        return OracleCounters(self.full_evals, self.component_calls)
-
 
 @dataclass(frozen=True)
 class OracleSampleDistribution:
@@ -145,9 +142,6 @@ class FiniteSumProblem:
 
     def distribution(self, u: BlockVector, v: BlockVector) -> OracleSampleDistribution:
         raise NotImplementedError
-
-    def all_indices(self) -> list[tuple[int, int]]:
-        return [(i, k) for i in range(self.n_rows) for k in range(self.n_cols)]
 
     def _check_index(self, xi: tuple[int, int]) -> tuple[int, int]:
         i, k = int(xi[0]), int(xi[1])

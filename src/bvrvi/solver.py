@@ -9,19 +9,18 @@ randomized anchor w with its cached full operator value, and produces
 where delta is the variance-reduced direction built from the anchor and a
 minibatch of component differences.  After the step the anchor moves to
 x_next with probability p and otherwise falls back to the current iterate
-x_cur.  Full operator values at the last two iterates are memoized, so a
-fallback only triggers a fresh full evaluation when the value is not
-already known; with anchor probability p the long-run fresh-evaluation
-rate is p + (1 - p)^2.
+x_cur.  Only F(x_cur) is memoized, and only when x_cur is the start or
+the anchor of a refresh step, so a fallback right after a refresh reuses
+it and any other fallback evaluates F(x_cur) afresh.  With anchor
+probability p the long-run fresh-evaluation rate is p + (1 - p)^2.
 
 Per-iteration randomness is consumed in a fixed order: sampling
 distribution (no draws), then the component batch (2*b uniforms), then
 the anchor coin (one uniform).  Runs with equal parameters and seed are
 bit-for-bit reproducible.
 
-A reflected single-index baseline (``run_vr_forb``) and a deterministic
-extragradient reference solver are included for comparisons.  Both
-stochastic solvers share one loop (``_drive``) that owns the
+A reflected single-index baseline (``run_vr_forb``) is included for
+comparisons.  Both solvers share one loop (``_drive``) that owns the
 start state, the ergodic average, metric logging and the divergence
 check; each supplies only its one-step update.
 """
@@ -35,13 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, ParameterError, PremiseViolationError
+from .errors import DivergenceError, ParameterError, PremiseViolationError
 from .geometry import (
-    ENTROPY_SIMPLEX,
     BlockVector,
     DualVector,
     check_layout,
-    euclidean_project,
     fused_inertial_prox,
     uniform_start,
 )
@@ -202,10 +199,10 @@ def preset_vr_forb(n: int, lip: float, iters: int, seed: int = 0) -> VrForbParam
 class SolverState:
     """Mutable run state.
 
-    ``memo_cur`` / ``memo_prev`` cache the full operator values at
-    ``x_cur`` / ``x_prev`` when known (None otherwise).  ``x_prev2``
-    holds the pre-step previous iterate and ``delta_last`` the last
-    direction, both needed by residual diagnostics.
+    ``memo_cur`` caches the full operator value at ``x_cur`` when known
+    (None otherwise).  ``x_prev2`` holds the pre-step previous iterate
+    and ``delta_last`` the last direction, both needed by residual
+    diagnostics.
     """
 
     x_cur: BlockVector
@@ -216,7 +213,6 @@ class SolverState:
     rng: np.random.Generator
     counters: OracleCounters = field(default_factory=OracleCounters)
     memo_cur: DualVector | None = None
-    memo_prev: DualVector | None = None
     x_prev2: BlockVector | None = None
     delta_last: DualVector | None = None
     iteration: int = 0
@@ -234,18 +230,18 @@ def init_state(problem: FiniteSumProblem, params: SolverParams | VrForbParams,
     return SolverState(
         x_cur=x0, x_prev=x0.copy(), w_cur=x0.copy(), w_prev=x0.copy(),
         f_w=f0, rng=np.random.default_rng(params.seed), counters=counters,
-        memo_cur=f0, memo_prev=f0,
+        memo_cur=f0,
     )
 
 
 def _advance(state: SolverState, x_next: BlockVector, w_next: BlockVector,
              f_w_next: DualVector, memo_next: DualVector | None,
              delta: DualVector) -> SolverState:
-    """Shift iterates, anchors and memos by one step."""
+    """Shift iterates and anchors by one step and store the new memo."""
     state.x_prev2, state.x_prev, state.x_cur = state.x_prev, state.x_cur, x_next
     state.w_prev, state.w_cur = state.w_cur, w_next
     state.f_w = f_w_next
-    state.memo_prev, state.memo_cur = state.memo_cur, memo_next
+    state.memo_cur = memo_next
     state.delta_last = delta
     state.iteration += 1
     return state
@@ -384,12 +380,11 @@ def run(problem: FiniteSumProblem, params: SolverParams, *,
         start: BlockVector | None = None,
         metric_fns: dict | None = None,
         log_stride: int = 100,
-        timing: bool = False,
-        warn_step_bound: bool = True) -> RunTrace:
+        timing: bool = False) -> RunTrace:
     """Run the main iteration through the shared loop (see ``_drive``)."""
     # The step bound belongs to the monotone ergodic guarantee; other
     # regimes use deliberately larger steps, so no warning there.
-    if warn_step_bound and problem.tag == "monotone":
+    if problem.tag == "monotone":
         check_alpha_bound(params, problem.lip, problem.lip_bar)
     return _drive(problem, params, start, lambda st: step(st, problem, params),
                   metric_fns, log_stride, timing)
@@ -420,36 +415,3 @@ def run_vr_forb(problem: FiniteSumProblem, params: VrForbParams, *,
                   lambda st: _vr_forb_step(st, problem, params, uniform),
                   metric_fns, log_stride, timing)
 
-
-# ---------------------------------------------------------------------------
-# Deterministic reference solver.
-# ---------------------------------------------------------------------------
-
-def extragradient_solve(problem: FiniteSumProblem, *,
-                        start: BlockVector | None = None,
-                        step_size: float | None = None,
-                        tol: float = 1e-12,
-                        max_iters: int = 200_000) -> BlockVector:
-    """Projected extragradient reference for Euclidean monotone problems.
-
-    Two projections per iteration; stops when the scaled fixed-point
-    residual |z - P(z - eta F(z))| / eta falls below tol.  Refuses the
-    entropy geometry (it is a Euclidean method).
-    """
-    geometry = problem.geometry
-    if geometry.kind == ENTROPY_SIMPLEX:
-        raise DomainError("extragradient reference is Euclidean only")
-    eta = 0.5 / problem.lip if step_size is None else float(step_size)
-    if eta <= 0.0:
-        raise ParameterError(f"step size must be positive, got {eta}")
-    z = uniform_start(geometry) if start is None else start.copy()
-    for _ in range(max_iters):
-        fz = problem.full(z)
-        half = euclidean_project(geometry, z - fz.scaled(eta))
-        residual = math.sqrt(sum(float(np.sum((a - b) ** 2))
-                                 for a, b in zip(z.blocks, half.blocks))) / eta
-        z_new = euclidean_project(geometry, z - problem.full(half).scaled(eta))
-        z = z_new
-        if residual <= tol:
-            break
-    return z

@@ -2,8 +2,10 @@
 
 Everything here is implemented from the mathematical definitions without
 calling into the code paths under test (except trivially shared
-containers), so agreement between the two routes is evidence, not
-tautology.
+containers, the full operator and the Bregman divergence, which their
+own frozen-value tests pin), so agreement between the two routes is
+evidence, not tautology.  None of it is on a user path, which is why it
+lives here and not in the package.
 """
 
 from __future__ import annotations
@@ -13,13 +15,16 @@ import warnings
 
 import numpy as np
 
+from bvrvi.errors import ParameterError
 from bvrvi.geometry import (
     ENTROPY_SIMPLEX,
     EUCLIDEAN_BALL,
     EUCLIDEAN_FREE,
     BlockVector,
     GeometrySpec,
+    bregman_divergence,
     fused_inertial_prox,
+    uniform_start,
 )
 from bvrvi.operators import FiniteSumProblem, OracleSampleDistribution
 
@@ -100,6 +105,68 @@ def prox_objective(kind: str, z: np.ndarray, x_cur: np.ndarray,
     return float(alpha * (v @ z)
                  + 0.5 * gamma * np.sum((z - x_cur) ** 2)
                  + 0.5 * (1.0 - gamma) * np.sum((z - x_prev) ** 2))
+
+
+def prox_inequality_check(spec: GeometrySpec, z_plus: BlockVector, z: BlockVector,
+                          z1: BlockVector, z2: BlockVector, gamma: float,
+                          alpha: float, v: BlockVector, tol: float = 1e-8) -> bool:
+    """Three-point optimality test for the fused prox output.
+
+    With z_plus the prox of direction v anchored at (z1, z2), every
+    feasible z must satisfy
+
+        alpha*<v, z - z_plus> >= D(z, z_plus)
+            + gamma*(D(z_plus, z1) - D(z, z1))
+            + (1 - gamma)*(D(z_plus, z2) - D(z, z2))
+
+    up to the tolerance.  Returns True when the inequality holds.
+    """
+    def div(a, b):
+        return bregman_divergence(spec, a, b)
+
+    lhs = alpha * float(v.data @ (z - z_plus).data)
+    rhs = div(z, z_plus)
+    rhs += gamma * (div(z_plus, z1) - div(z, z1))
+    rhs += (1.0 - gamma) * (div(z_plus, z2) - div(z, z2))
+    return lhs >= rhs - tol
+
+
+# ---------------------------------------------------------------------------
+# Feasibility and Euclidean projection onto the constraint sets.
+# ---------------------------------------------------------------------------
+
+def is_feasible(spec: GeometrySpec, x: BlockVector, tol: float = 1e-9) -> bool:
+    if spec.kind == ENTROPY_SIMPLEX:
+        return all(
+            np.all(b >= -tol) and abs(float(np.sum(b)) - 1.0) <= tol for b in x.blocks
+        )
+    if spec.kind == EUCLIDEAN_BALL:
+        return all(float(np.linalg.norm(b)) <= spec.radius + tol for b in x.blocks)
+    return True
+
+
+def _project_simplex_block(y: np.ndarray) -> np.ndarray:
+    """Euclidean projection of y onto the probability simplex (sort based)."""
+    u = np.sort(y)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, y.size + 1)
+    cond = u - css / idx > 0
+    rho = int(np.nonzero(cond)[0][-1])
+    lam = css[rho] / (rho + 1)
+    return np.maximum(y - lam, 0.0)
+
+
+def euclidean_project(spec: GeometrySpec, x: BlockVector) -> BlockVector:
+    """Euclidean projection onto the constraint set, blockwise."""
+    if spec.kind == ENTROPY_SIMPLEX:
+        return BlockVector(tuple(_project_simplex_block(b) for b in x.blocks))
+    if spec.kind == EUCLIDEAN_BALL:
+        out = []
+        for b in x.blocks:
+            nrm = float(np.linalg.norm(b))
+            out.append(b * (spec.radius / nrm) if nrm > spec.radius else b.copy())
+        return BlockVector(tuple(out))
+    return x.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +286,15 @@ def alt_envelope_coeff(gamma, alpha):
     return 8.0 / (2.0 * (1.0 + gamma - alpha))
 
 
+def linear_rate_envelope(bounds, d0: float, iterations) -> np.ndarray:
+    """sqrt(envelope_coeff * D(x*, x0) / rate^s) at the given iterations."""
+    rate = bounds.theta if bounds.theta is not None else bounds.varsigma
+    if rate is None or bounds.envelope_coeff is None:
+        raise ParameterError("bounds carry no geometric rate")
+    its = np.asarray(list(iterations), dtype=np.float64)
+    return np.sqrt(bounds.envelope_coeff * d0 / np.power(rate, its))
+
+
 # ---------------------------------------------------------------------------
 # Reference iterations and ad-hoc problems.
 # ---------------------------------------------------------------------------
@@ -237,6 +313,26 @@ def reflected_reference(full_fn, spec: GeometrySpec, x0: BlockVector,
         x_prev, x = x, x_next
         traj.append(x_next)
     return traj
+
+
+def extragradient_solve(problem: FiniteSumProblem, tol: float = 1e-12) -> BlockVector:
+    """Projected extragradient for Euclidean monotone problems.
+
+    Starts at the canonical start with step 1/(2L), two projections per
+    iteration; stops when the scaled fixed-point residual
+    |z - P(z - eta F(z))| / eta falls below tol, or after 200 000
+    iterations.
+    """
+    geometry = problem.geometry
+    eta = 0.5 / problem.lip
+    z = uniform_start(geometry)
+    for _ in range(200_000):
+        half = euclidean_project(geometry, z - problem.full(z).scaled(eta))
+        residual = math.sqrt(float(np.sum((z - half).data ** 2))) / eta
+        z = euclidean_project(geometry, z - problem.full(half).scaled(eta))
+        if residual <= tol:
+            break
+    return z
 
 
 class SingleLinearSimplexProblem(FiniteSumProblem):

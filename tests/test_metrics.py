@@ -18,7 +18,6 @@ from bvrvi.metrics import (
     TheoryBounds,
     distance_to_solution,
     duality_gap,
-    linear_rate_envelope,
     natural_residual,
     scaled_norm_residual,
     theory_bounds,
@@ -56,7 +55,7 @@ def test_duality_gap_matches_vertex_enumeration():
                 u = BlockVector.zeros((n, n))
                 u.blocks[0][k] = 1.0
                 u.blocks[1][i] = 1.0
-                best = max(best, problem.full(u).dot(z - u))
+                best = max(best, float(problem.full(u).data @ (z - u).data))
         assert duality_gap(problem, z) == pytest.approx(best, rel=1e-12, abs=1e-12)
 
 
@@ -65,22 +64,22 @@ def test_duality_gap_zero_at_enumerated_equilibrium():
     x, y, value = helpers.solve_small_matrix_game(matching)
     assert value == pytest.approx(0.5, abs=1e-10)
     game = MatrixGameOperator(matching)
-    assert duality_gap(game, BlockVector.from_arrays((x, y))) <= 1e-9
+    assert duality_gap(game, BlockVector((x, y))) <= 1e-9
 
     cyclic = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
     x, y, value = helpers.solve_small_matrix_game(cyclic)
     assert value == pytest.approx(0.0, abs=1e-10)
     assert x == pytest.approx([1.0 / 3.0] * 3, abs=1e-10)
     game = MatrixGameOperator(cyclic)
-    assert duality_gap(game, BlockVector.from_arrays((x, y))) <= 1e-9
+    assert duality_gap(game, BlockVector((x, y))) <= 1e-9
 
     rng = np.random.default_rng(44)
     payoff = rng.standard_normal((3, 3))
     x, y, _ = helpers.solve_small_matrix_game(payoff)
     game = MatrixGameOperator(payoff)
-    assert duality_gap(game, BlockVector.from_arrays((x, y))) <= 1e-7
+    assert duality_gap(game, BlockVector((x, y))) <= 1e-7
     # Any non-equilibrium point has a positive gap.
-    corner = BlockVector.from_arrays(([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
+    corner = BlockVector(([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
     assert duality_gap(game, corner) > 1e-3
 
 
@@ -104,7 +103,7 @@ def test_scaled_norm_residual_frozen():
 def test_distance_to_solution():
     problem, _ = build_linear_rate_fixture("p-lt-1")
     z = problem.solution + BlockVector.full(problem.geometry.block_dims, 0.1)
-    d = 0.1 * math.sqrt(problem.geometry.dim)
+    d = 0.1 * math.sqrt(sum(problem.geometry.block_dims))
     assert distance_to_solution(problem, z) == pytest.approx(d, rel=1e-12)
     game = build_matrix_game(3, 0)
     with pytest.raises(ParameterError):
@@ -139,7 +138,7 @@ def test_natural_residual_vanishes_at_convergence():
 def test_natural_residual_refusals():
     game = build_matrix_game(3, 0)
     params = SolverParams(gamma=0.5, p=0.2, alpha=0.01, b=1, iters=2, seed=0)
-    trace = run(game, params, log_stride=1, warn_step_bound=False)
+    trace = run(game, params, log_stride=1)
     with pytest.raises(DomainError):
         natural_residual(game, trace.final_state, 0.5, 0.01)
     problem, fp = build_linear_rate_fixture("p-lt-1")
@@ -306,9 +305,9 @@ def test_linear_rate_envelope_shape():
     params = SolverParams(gamma=fp["gamma"], p=fp["p"], alpha=fp["alpha"],
                           b=fp["b"], iters=1)
     bounds = theory_bounds(params, problem)
-    env = linear_rate_envelope(bounds, 0.18, [0, 500])
+    env = helpers.linear_rate_envelope(bounds, 0.18, [0, 500])
     assert env[0] == pytest.approx(math.sqrt(bounds.envelope_coeff * 0.18), rel=1e-14)
     assert env[1] == pytest.approx(
         math.sqrt(bounds.envelope_coeff * 0.18 / bounds.theta ** 500), rel=1e-12)
     with pytest.raises(ParameterError):
-        linear_rate_envelope(TheoryBounds(), 1.0, [0])
+        helpers.linear_rate_envelope(TheoryBounds(), 1.0, [0])
