@@ -491,6 +491,21 @@ def aggregate_rows(per_seed_rows: dict[int, list[tuple]]) -> list[tuple]:
     return out
 
 
+def _write_runs(out_dir: Path, stem: str,
+                rows_by_seed: dict[int, list[tuple]]) -> list[tuple]:
+    """One CSV per seed plus the aggregate CSV; returns the aggregate rows."""
+    for seed, rows in rows_by_seed.items():
+        _write_csv(out_dir / f"{stem}_seed{seed}.csv", rows)
+    agg = aggregate_rows(rows_by_seed)
+    _write_csv(out_dir / f"{stem}_aggregate.csv", agg)
+    return agg
+
+
+def _final_row(rows: list[tuple], name: str) -> tuple:
+    """The last row of metric ``name``: its value at the final logged iteration."""
+    return next(row for row in reversed(rows) if row[3] == name)
+
+
 def _worker_count(n_jobs: int) -> int:
     """Seeds run one at a time, whatever their number."""
     return 1
@@ -516,7 +531,7 @@ def _theory_header_lines(problem, params) -> list[str]:
              f"params.alpha = {params.alpha!r}", f"params.b = {params.b}",
              f"params.preset = {params.preset}"]
     try:
-        bounds = metrics_mod.theory_bounds(params, problem, strict=False)
+        bounds = metrics_mod.theory_bounds(params, problem)
     except Exception as exc:  # refusals (no rho/beta, entropy mirror map)
         lines.append(f"theory.unavailable = {exc}")
         return lines
@@ -561,12 +576,8 @@ def _single_method_run(config: ExperimentConfig, method: str, out_dir: Path):
 
     traces = _run_seeds(one_seed, config.seeds)
     per_seed_rows = {seed: trace_rows(traces[seed], seed) for seed in config.seeds}
-
     stem = f"{config.experiment}_{method}"
-    for seed in config.seeds:
-        _write_csv(out_dir / f"{stem}_seed{seed}.csv", per_seed_rows[seed])
-    agg = aggregate_rows(per_seed_rows)
-    _write_csv(out_dir / f"{stem}_aggregate.csv", agg)
+    agg = _write_runs(out_dir, stem, per_seed_rows)
 
     header = [f"# {stem} run header", "# --- config ---"]
     header += canonical_text(config).rstrip("\n").splitlines()
@@ -575,7 +586,7 @@ def _single_method_run(config: ExperimentConfig, method: str, out_dir: Path):
     header += _accounting_lines(problem, params, traces)
     (out_dir / f"{stem}_header.txt").write_text("\n".join(header) + "\n",
                                                 encoding="utf-8")
-    return traces, agg, params
+    return per_seed_rows, agg
 
 
 def _variance_check(config: ExperimentConfig, out_dir: Path) -> int:
@@ -622,10 +633,7 @@ def _variance_check(config: ExperimentConfig, out_dir: Path) -> int:
             (0, 0, 0, "variance_empirical", float(mean), 0.0, seed),
             (0, 0, 0, "variance_bound", float(bound), 0.0, seed),
         ]
-    stem = "variance-check"
-    for seed in config.seeds:
-        _write_csv(out_dir / f"{stem}_seed{seed}.csv", rows_by_seed[seed])
-    _write_csv(out_dir / f"{stem}_aggregate.csv", aggregate_rows(rows_by_seed))
+    _write_runs(out_dir, "variance-check", rows_by_seed)
     print(f"variance-check overall: {'PASS' if all_pass else 'FAIL'}")
     return 0
 
@@ -643,40 +651,28 @@ def run_experiment(config: ExperimentConfig) -> int:
     if config.methods:
         return compare_methods(config, out_dir)
 
-    traces, agg, params = _single_method_run(config, config.method, out_dir)
+    _, agg = _single_method_run(config, config.method, out_dir)
     headline = _headline_metric(config.experiment)
-    final_iter = max(r[0] for r in agg)
-    for row in agg:
-        if row[0] == final_iter and row[3] == headline:
-            print(f"final median {headline} at iter {final_iter}: {_fmt(row[4])}")
+    final = _final_row(agg, headline)
+    print(f"final median {headline} at iter {final[0]}: {_fmt(final[4])}")
     return 0
 
 
 def compare_methods(config: ExperimentConfig, out_dir: Path) -> int:
-    """Run every method in config.methods and emit a comparison CSV."""
+    """Run every method in config.methods and emit a comparison CSV.
+
+    Each method contributes its final headline row per seed, then the
+    final headline row of its aggregate (seed -1).
+    """
     headline = _headline_metric(config.experiment)
     compare_rows = []
     medians = {}
     for method in config.methods:
-        traces, agg, _params = _single_method_run(config, method, out_dir)
-        finals = {}
-        for seed in config.seeds:
-            trace = traces[seed]
-            last = trace.records[-1]
-            finals[seed] = (last.iteration, last.metrics[headline],
-                            last.component_calls, last.full_evals, last.wall_ms)
-            compare_rows.append((method, seed, last.iteration,
-                                 last.component_calls, last.full_evals,
-                                 headline, float(last.metrics[headline]),
-                                 float(last.wall_ms)))
-        med = _median(v[1] for v in finals.values())
-        medians[method] = med
-        any_final = next(iter(finals.values()))
-        compare_rows.append((method, -1, any_final[0],
-                             int(_median(v[2] for v in finals.values())),
-                             int(_median(v[3] for v in finals.values())),
-                             headline, med,
-                             _median(v[4] for v in finals.values())))
+        per_seed_rows, agg = _single_method_run(config, method, out_dir)
+        finals = [_final_row(per_seed_rows[seed], headline) for seed in config.seeds]
+        finals.append(_final_row(agg, headline))
+        compare_rows += [(method, row[6], *row[:6]) for row in finals]
+        medians[method] = finals[-1][4]
     path = out_dir / f"{config.experiment}_compare.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("method,seed,iter,component_calls,full_evals,"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, PremiseViolationError
+from .errors import DomainError, ParameterError
 from .geometry import (
     ENTROPY_SIMPLEX,
     BlockVector,
@@ -96,8 +96,6 @@ def natural_residual(problem: FiniteSumProblem, state, gamma: float,
 # Guarantee constants.
 # ---------------------------------------------------------------------------
 
-REGIMES = ("ergodic", "weak-minty", "weak-minty-p1", "linear", "linear-p1")
-
 _TAG_REGIMES = {
     "monotone": ("ergodic",),
     "non-monotone-weak-minty": ("weak-minty", "weak-minty-p1"),
@@ -110,8 +108,7 @@ class TheoryBounds:
     """Constants of the applicable guarantees plus premise diagnostics.
 
     Fields are None for regimes that were not evaluated.  ``failures``
-    lists every violated premise (inequality spelled out with numbers);
-    with strict evaluation the same text is raised instead.
+    lists every violated premise (inequality spelled out with numbers).
     """
 
     checked: tuple[str, ...] = ()
@@ -149,27 +146,20 @@ def _require_lf(geometry: GeometrySpec) -> float:
     return lf
 
 
-def theory_bounds(params, problem: FiniteSumProblem,
-                  regimes=None, strict: bool = True) -> TheoryBounds:
-    """Evaluate guarantee constants for the requested regimes.
+def theory_bounds(params, problem: FiniteSumProblem) -> TheoryBounds:
+    """Evaluate guarantee constants for the regimes of the problem.
 
-    Regimes default to the ones matching the problem tag and the anchor
-    probability.  Premise violations raise PremiseViolationError when
-    strict, otherwise they are returned in ``failures`` alongside any
-    constants that could still be computed.
+    The regimes are the ones matching the problem tag and the anchor
+    probability (the ``-p1`` regimes exactly when p = 1).  Premise
+    violations are returned in ``failures`` alongside any constants that
+    could still be computed.
     """
     geometry = problem.geometry
     gamma, p, alpha, b = params.gamma, params.p, params.alpha, params.b
     lip, lip_bar = problem.lip, problem.lip_bar
 
-    if regimes is None:
-        candidates = _TAG_REGIMES.get(problem.tag, ())
-        regimes = tuple(r for r in candidates
-                        if r.endswith("-p1") == (p == 1.0))
-    regimes = tuple(regimes)
-    for r in regimes:
-        if r not in REGIMES:
-            raise ParameterError(f"unknown regime {r!r}; expected one of {REGIMES}")
+    regimes = tuple(r for r in _TAG_REGIMES.get(problem.tag, ())
+                    if r.endswith("-p1") == (p == 1.0))
 
     failures: list[str] = []
     out: dict[str, float] = {}
@@ -287,7 +277,5 @@ def theory_bounds(params, problem: FiniteSumProblem,
             need(varsigma > 1.0,
                  f"linear-p1 regime needs varsigma > 1, got varsigma={varsigma!r}")
 
-    if strict and failures:
-        raise PremiseViolationError("; ".join(failures))
     return TheoryBounds(checked=regimes, failures=tuple(failures), **out)
 

@@ -16,9 +16,13 @@ provided:
   into M affine components whose perturbations sum to zero; sampled
   uniformly.
 
+The two games share one bilinear full and component oracle
+(``_BilinearGame``) and differ only in geometry, constants and weights.
 The component index space is a grid (n_rows x n_cols); M = n_rows * n_cols.
-Oracle usage is tracked by :class:`OracleCounters`: a full evaluation
-counts as M component calls.
+A distribution holds sampling weights only: whether to sample at all is
+the solver's decision, which skips the batch when the two points of the
+difference coincide.  Oracle usage is tracked by :class:`OracleCounters`:
+a full evaluation counts as M component calls.
 """
 
 from __future__ import annotations
@@ -66,30 +70,35 @@ class OracleCounters:
 class OracleSampleDistribution:
     """Product distribution over the component grid.
 
-    ``r`` weights rows, ``c`` weights columns; both sum to one.  The
-    ``degenerate`` flag marks the case where the two points defining the
-    distribution coincide on every block the oracle reads, so the
-    variance-reduction difference is identically zero and sampling can be
-    skipped altogether.
+    ``r`` weights rows, ``c`` weights columns; both sum to one up to
+    rounding.  ``last_r`` and ``last_c`` are the indices at which the
+    cumulative weight first reaches its total; each has positive weight.
+    A total that rounds below one leaves uniforms at or above it, and the
+    sampler sends those draws to these indices rather than to the last
+    one, whose weight may be zero.
     """
 
     r: np.ndarray
     c: np.ndarray
-    degenerate: bool
     cum_r: np.ndarray = field(repr=False, default=None)
     cum_c: np.ndarray = field(repr=False, default=None)
+    last_r: int = field(repr=False, init=False)
+    last_c: int = field(repr=False, init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cum_r", np.cumsum(self.r))
-        object.__setattr__(self, "cum_c", np.cumsum(self.c))
+        cum_r, cum_c = np.cumsum(self.r), np.cumsum(self.c)
+        object.__setattr__(self, "cum_r", cum_r)
+        object.__setattr__(self, "cum_c", cum_c)
+        object.__setattr__(self, "last_r", int(np.searchsorted(cum_r, cum_r[-1])))
+        object.__setattr__(self, "last_c", int(np.searchsorted(cum_c, cum_c[-1])))
 
 
-def _normalized(w: np.ndarray) -> tuple[np.ndarray, bool]:
+def _normalized(w: np.ndarray) -> np.ndarray:
     """w >= 0 scaled to sum 1; uniform fallback when w is zero."""
     s = float(np.sum(w))
     if s == 0.0:
-        return np.full(w.size, 1.0 / w.size), True
-    return w / s, False
+        return np.full(w.size, 1.0 / w.size)
+    return w / s
 
 
 def _bilinear_full(payoff: np.ndarray, z: BlockVector) -> np.ndarray:
@@ -117,7 +126,7 @@ def _bilinear_full(payoff: np.ndarray, z: BlockVector) -> np.ndarray:
 
 
 class FiniteSumProblem:
-    """Base class: geometry, constants, and the two oracles."""
+    """Base class: geometry, constants, the two oracles and fixed weights ``_dist``."""
 
     geometry: GeometrySpec
     n_rows: int
@@ -128,6 +137,7 @@ class FiniteSumProblem:
     rho: float | None = None
     beta: float | None = None
     solution: BlockVector | None = None
+    _dist: OracleSampleDistribution
 
     @property
     def num_components(self) -> int:
@@ -141,75 +151,92 @@ class FiniteSumProblem:
         raise NotImplementedError
 
     def distribution(self, u: BlockVector, v: BlockVector) -> OracleSampleDistribution:
-        raise NotImplementedError
+        check_layout(self.geometry, u, "u")
+        check_layout(self.geometry, v, "v")
+        return self._dist
 
-    def _check_index(self, xi: tuple[int, int]) -> tuple[int, int]:
+    def _check_index(self, xi: tuple[int, int], z: BlockVector,
+                     dist: OracleSampleDistribution) -> tuple[int, int, float, float]:
+        """(i, k, r_i, c_k) for a draw xi at z; refuses an index off the
+        grid, a z of the wrong layout and an index of zero probability."""
         i, k = int(xi[0]), int(xi[1])
         if not (0 <= i < self.n_rows and 0 <= k < self.n_cols):
             raise ParameterError(
                 f"component index {xi} outside grid {self.n_rows}x{self.n_cols}"
             )
-        return i, k
-
-
-class MatrixGameOperator(FiniteSumProblem):
-    """Saddle operator F(x, y) = (A^T y, -A x) on simplex blocks.
-
-    The sampling distribution adapts to the pair of points that the
-    variance-reduced difference will be evaluated at: row weights are the
-    normalized coordinate gaps of the second block, column weights those
-    of the first block.  Components are importance weighted so a single
-    (row, column) draw is unbiased for F.  A full evaluation makes a
-    single pass over the payoff, forming both products from each chunk of
-    rows while it is in cache (see ``_bilinear_full``).
-    """
-
-    def __init__(self, payoff: np.ndarray):
-        payoff = np.asarray(payoff, dtype=np.float64)
-        if payoff.ndim != 2 or payoff.shape[0] != payoff.shape[1]:
-            raise ParameterError(f"payoff must be square, got shape {payoff.shape}")
-        n = payoff.shape[0]
-        self.payoff = payoff
-        self.n = n
-        self.geometry = GeometrySpec(ENTROPY_SIMPLEX, (n, n))
-        self.n_rows = n
-        self.n_cols = n
-        self.lip = float(np.max(np.abs(payoff)))
-        self.lip_bar = self.lip
-        self.tag = "monotone"
-        self.rho = 0.0
-        self.beta = None
-        self.solution = None
-
-    def full(self, z: BlockVector) -> DualVector:
-        check_layout(self.geometry, z, "z")
-        return BlockVector.wrap(_bilinear_full(self.payoff, z), self.geometry.block_dims)
-
-    def component(self, xi, z, dist) -> DualVector:
-        i, k = self._check_index(xi)
         check_layout(self.geometry, z, "z")
         ri, ck = float(dist.r[i]), float(dist.c[k])
         if ri <= 0.0 or ck <= 0.0:
             raise RuntimeError(
                 f"internal invariant violation: drew zero-probability index {xi}"
             )
+        return i, k, ri, ck
+
+
+class _BilinearGame(FiniteSumProblem):
+    """F(x, y) = (A^T y - lam*x, -A x - lam*y) for a square payoff A, kept uncopied.
+
+    The component at (i, k) is (A[i, :] y_i / r_i, -A[:, k] x_k / c_k) -
+    lam*z: importance weighted, so a single draw is unbiased for F.  The
+    lam term is skipped when lam is zero, so the matrix game makes no
+    extra pass over z.  A full evaluation reads the payoff once (see
+    ``_bilinear_full``).
+    """
+
+    lam = 0.0
+
+    def __init__(self, payoff: np.ndarray):
+        payoff = np.asarray(payoff, dtype=np.float64)
+        if payoff.ndim != 2 or payoff.shape[0] != payoff.shape[1]:
+            raise ParameterError(f"payoff must be square, got shape {payoff.shape}")
+        self.payoff = payoff
+        self.n = self.n_rows = self.n_cols = payoff.shape[0]
+
+    def full(self, z: BlockVector) -> DualVector:
+        check_layout(self.geometry, z, "z")
+        out = _bilinear_full(self.payoff, z)
+        if self.lam:
+            out -= self.lam * z.data
+        return BlockVector.wrap(out, self.geometry.block_dims)
+
+    def component(self, xi, z, dist) -> DualVector:
+        i, k, ri, ck = self._check_index(xi, z, dist)
         n = self.n
         x, y = z.blocks
         out = np.empty(2 * n)
         np.multiply(self.payoff[i, :], y[i] / ri, out=out[:n])
         np.multiply(self.payoff[:, k], -(x[k] / ck), out=out[n:])
+        if self.lam:
+            out -= self.lam * z.data
         return BlockVector.wrap(out, self.geometry.block_dims)
+
+
+class MatrixGameOperator(_BilinearGame):
+    """Saddle operator F(x, y) = (A^T y, -A x) on simplex blocks.
+
+    The sampling distribution adapts to the pair of points that the
+    variance-reduced difference will be evaluated at: row weights are the
+    normalized coordinate gaps of the second block, column weights those
+    of the first block.
+    """
+
+    def __init__(self, payoff: np.ndarray):
+        super().__init__(payoff)
+        n = self.n
+        self.geometry = GeometrySpec(ENTROPY_SIMPLEX, (n, n))
+        self.lip = float(np.max(np.abs(self.payoff)))
+        self.lip_bar = self.lip
+        self.tag = "monotone"
+        self.rho = 0.0
 
     def distribution(self, u, v) -> OracleSampleDistribution:
         check_layout(self.geometry, u, "u")
         check_layout(self.geometry, v, "v")
         gap_x, gap_y = BlockVector.wrap(np.abs(u.data - v.data), u.block_dims).blocks
-        r, r_zero = _normalized(gap_y)
-        c, c_zero = _normalized(gap_x)
-        return OracleSampleDistribution(r=r, c=c, degenerate=r_zero and c_zero)
+        return OracleSampleDistribution(r=_normalized(gap_y), c=_normalized(gap_x))
 
 
-class RegularizedGameOperator(FiniteSumProblem):
+class RegularizedGameOperator(_BilinearGame):
     """Saddle operator with a repulsive regularizer on unit-ball blocks.
 
     F(x, y) = (A^T y - lam*x, -A x - lam*y).  The origin solves the
@@ -220,61 +247,25 @@ class RegularizedGameOperator(FiniteSumProblem):
     """
 
     def __init__(self, payoff: np.ndarray, lam: float, spectral_norm: float | None = None):
-        payoff = np.asarray(payoff, dtype=np.float64)
-        if payoff.ndim != 2 or payoff.shape[0] != payoff.shape[1]:
-            raise ParameterError(f"payoff must be square, got shape {payoff.shape}")
+        super().__init__(payoff)
         if lam <= 0:
             raise ParameterError(f"lam must be positive, got {lam}")
-        n = payoff.shape[0]
-        self.payoff = payoff
+        payoff, n = self.payoff, self.n
         self.lam = float(lam)
-        self.n = n
         self.geometry = GeometrySpec(EUCLIDEAN_BALL, (n, n), radius=1.0)
-        self.n_rows = n
-        self.n_cols = n
         s = power_iteration_norm(payoff) if spectral_norm is None else float(spectral_norm)
         self.spectral = s
         self.lip = float(np.sqrt(lam * lam + s * s))
         self.lip_bar = self.lip
         self.tag = "non-monotone-weak-minty"
         self.rho = float(lam / (lam * lam + s * s))
-        self.beta = None
         self.solution = BlockVector.zeros((n, n))
         fro2 = float(np.sum(payoff * payoff))
         if fro2 == 0.0:
             raise ParameterError("payoff matrix is zero; sampling weights undefined")
         r = np.sum(payoff * payoff, axis=1) / fro2
         c = np.sum(payoff * payoff, axis=0) / fro2
-        self._dist = OracleSampleDistribution(r=r, c=c, degenerate=False)
-        self._dist_degenerate = OracleSampleDistribution(r=r, c=c, degenerate=True)
-
-    def full(self, z: BlockVector) -> DualVector:
-        check_layout(self.geometry, z, "z")
-        out = _bilinear_full(self.payoff, z)
-        out -= self.lam * z.data
-        return BlockVector.wrap(out, self.geometry.block_dims)
-
-    def component(self, xi, z, dist) -> DualVector:
-        i, k = self._check_index(xi)
-        check_layout(self.geometry, z, "z")
-        ri, ck = float(dist.r[i]), float(dist.c[k])
-        if ri <= 0.0 or ck <= 0.0:
-            raise RuntimeError(
-                f"internal invariant violation: drew zero-probability index {xi}"
-            )
-        n = self.n
-        x, y = z.blocks
-        out = np.empty(2 * n)
-        np.multiply(self.payoff[i, :], y[i] / ri, out=out[:n])
-        np.multiply(self.payoff[:, k], -(x[k] / ck), out=out[n:])
-        out -= self.lam * z.data
-        return BlockVector.wrap(out, self.geometry.block_dims)
-
-    def distribution(self, u, v) -> OracleSampleDistribution:
-        check_layout(self.geometry, u, "u")
-        check_layout(self.geometry, v, "v")
-        same = bool((u.data == v.data).all())
-        return self._dist_degenerate if same else self._dist
+        self._dist = OracleSampleDistribution(r=r, c=c)
 
 
 class AffineStrongOperator(FiniteSumProblem):
@@ -324,32 +315,17 @@ class AffineStrongOperator(FiniteSumProblem):
         self.beta = 2.0 * self.mu if beta is None else float(beta)
         self.solution = solution
         m = self.n_rows
-        self._uniform = OracleSampleDistribution(
-            r=np.full(m, 1.0 / m), c=np.ones(1), degenerate=False)
-        self._uniform_degenerate = OracleSampleDistribution(
-            r=self._uniform.r, c=self._uniform.c, degenerate=True)
+        self._dist = OracleSampleDistribution(r=np.full(m, 1.0 / m), c=np.ones(1))
 
     def full(self, z: BlockVector) -> DualVector:
         check_layout(self.geometry, z, "z")
         return BlockVector.wrap(self.h @ z.data + self.q, self.geometry.block_dims)
 
     def component(self, xi, z, dist) -> DualVector:
-        i, _ = self._check_index(xi)
-        check_layout(self.geometry, z, "z")
-        ri = float(dist.r[i])
-        if ri <= 0.0:
-            raise RuntimeError(
-                f"internal invariant violation: drew zero-probability index {xi}"
-            )
+        i, _, ri, _ = self._check_index(xi, z, dist)
         scale = 1.0 / (self.n_rows * ri)
         return BlockVector.wrap(scale * (self._component_mats[i] @ z.data + self.q),
                      self.geometry.block_dims)
-
-    def distribution(self, u, v) -> OracleSampleDistribution:
-        check_layout(self.geometry, u, "u")
-        check_layout(self.geometry, v, "v")
-        same = bool((u.data == v.data).all())
-        return self._uniform_degenerate if same else self._uniform
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +356,15 @@ def sample_batch(dist: OracleSampleDistribution, b: int,
                  rng: np.random.Generator) -> list[tuple[int, int]]:
     """Draw b i.i.d. index pairs by inverse CDF on the row and column axes.
 
-    Consumes exactly 2*b uniforms: first the rows, then the columns.
+    Consumes exactly 2*b uniforms: first the rows, then the columns.  A
+    uniform at or above the total weight goes to ``last_r`` or ``last_c``.
     """
-    if dist.degenerate:
-        raise ParameterError("distribution is degenerate; the caller must skip sampling")
     if b < 1:
         raise ParameterError(f"batch size must be >= 1, got {b}")
     rows = np.searchsorted(dist.cum_r, rng.random(b), side="right")
     cols = np.searchsorted(dist.cum_c, rng.random(b), side="right")
-    rows = np.minimum(rows, dist.r.size - 1)
-    cols = np.minimum(cols, dist.c.size - 1)
+    rows = np.minimum(rows, dist.last_r)
+    cols = np.minimum(cols, dist.last_c)
     return list(zip(rows.tolist(), cols.tolist()))
 
 
@@ -397,13 +372,7 @@ def estimator_delta(f_anchor: DualVector, problem: FiniteSumProblem,
                     x_s: BlockVector, w_prev: BlockVector,
                     batch, dist: OracleSampleDistribution,
                     counters: OracleCounters | None = None) -> DualVector:
-    """Variance-reduced direction F(w) + mean_{xi in batch} (F_xi(x_s) - F_xi(w_prev)).
-
-    For a degenerate distribution the stochastic difference is identically
-    zero, so the anchor value is returned at no extra oracle cost.
-    """
-    if dist.degenerate:
-        return f_anchor.copy()
+    """Variance-reduced direction F(w) + mean_{xi in batch} (F_xi(x_s) - F_xi(w_prev))."""
     batch = list(batch)
     if not batch:
         raise ParameterError("batch is empty; draw at least one component index")

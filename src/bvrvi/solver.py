@@ -16,8 +16,11 @@ probability p the long-run fresh-evaluation rate is p + (1 - p)^2.
 
 Per-iteration randomness is consumed in a fixed order: sampling
 distribution (no draws), then the component batch (2*b uniforms), then
-the anchor coin (one uniform).  Runs with equal parameters and seed are
-bit-for-bit reproducible.
+the anchor coin (one uniform).  A step whose iterate equals the previous
+anchor entry by entry (always the first step) has an identically zero
+sampled difference: delta is the anchor value, no distribution or batch
+is built, and only the anchor coin is drawn.  Runs with equal
+parameters and seed are bit-for-bit reproducible.
 
 A reflected single-index baseline (``run_vr_forb``) is included for
 comparisons.  Both solvers share one loop (``_drive``) that owns the
@@ -251,16 +254,18 @@ def step(state: SolverState, problem: FiniteSumProblem,
          params: SolverParams) -> SolverState:
     """One iteration; mutates and returns the state.
 
-    Randomness order: distribution, batch, coin.
+    Randomness order: distribution, batch, coin.  When x_cur equals the
+    previous anchor w_prev entry by entry, the sampled difference is zero:
+    delta is a copy of the anchor value f_w and the coin is the only draw.
     """
-    dist = make_distribution(problem, state.x_cur, state.w_prev)
-    if dist.degenerate:
-        batch = []
+    if (state.x_cur.data == state.w_prev.data).all():
+        delta = state.f_w.copy()
     else:
+        dist = make_distribution(problem, state.x_cur, state.w_prev)
         batch = sample_batch(dist, params.b, state.rng)
         state.sampled_iterations += 1
-    delta = estimator_delta(state.f_w, problem, state.x_cur, state.w_prev,
-                            batch, dist, state.counters)
+        delta = estimator_delta(state.f_w, problem, state.x_cur, state.w_prev,
+                                batch, dist, state.counters)
 
     x_next = fused_inertial_prox(problem.geometry, state.x_cur, state.x_prev,
                                  params.gamma, delta, params.alpha)
@@ -404,12 +409,12 @@ def run_vr_forb(problem: FiniteSumProblem, params: VrForbParams, *,
     Direction F(w_s) + F_i(x_s) - F_i(w_prev) with a single uniformly
     drawn component index; the anchor moves to x_next with probability p
     and otherwise stays at w_s (it does not fall back to x_s).  Prox
-    steps are plain (no inertial mixing), with step size tau.
+    steps are plain (no inertial mixing), with step size tau.  Every
+    step draws its index, the first one included.
     """
     uniform = OracleSampleDistribution(
         r=np.full(problem.n_rows, 1.0 / problem.n_rows),
         c=np.full(problem.n_cols, 1.0 / problem.n_cols),
-        degenerate=False,
     )
     return _drive(problem, params, start,
                   lambda st: _vr_forb_step(st, problem, params, uniform),

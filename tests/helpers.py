@@ -351,17 +351,14 @@ class SingleLinearSimplexProblem(FiniteSumProblem):
         self.rho = 0.0
         self.beta = None
         self.solution = None
+        self._dist = OracleSampleDistribution(r=np.ones(1), c=np.ones(1))
 
     def full(self, z):
         return BlockVector((self.mat @ z.blocks[0] + self.offset,))
 
     def component(self, xi, z, dist):
-        self._check_index(xi)
+        self._check_index(xi, z, dist)
         return self.full(z)
-
-    def distribution(self, u, v):
-        same = np.array_equal(u.blocks[0], v.blocks[0])
-        return OracleSampleDistribution(r=np.ones(1), c=np.ones(1), degenerate=same)
 
 
 def random_feasible(spec: GeometrySpec, rng: np.random.Generator) -> BlockVector:

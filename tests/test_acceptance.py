@@ -174,7 +174,9 @@ def test_criterion_04_ergodic_gap_bound_and_slope():
         series = dict(trace.metric_series("gap"))
         for s in checkpoints:
             gaps[s].append(series[s])
-    coeff = theory_bounds(params0, problem).ergodic_coeff
+    bounds = theory_bounds(params0, problem)
+    assert bounds.failures == ()  # the preset's premises must hold
+    coeff = bounds.ergodic_coeff
     d_max = 2.0 * math.log(20.0)
     ok = True
     parts = []
@@ -203,7 +205,8 @@ def test_criterion_05_linear_rate_envelopes():
             assert (0.5 + fp["gamma"]) / problem.beta < fp["alpha"]
         params0 = SolverParams(gamma=fp["gamma"], p=fp["p"], alpha=fp["alpha"],
                                b=fp["b"], iters=fp["iters"])
-        bounds = theory_bounds(params0, problem)  # strict: premises must hold
+        bounds = theory_bounds(params0, problem)
+        assert bounds.failures == ()  # the fixture's premises must hold
         xstar = helpers.extragradient_solve(problem)
         assert primal_norm(problem.geometry, xstar - problem.solution) <= 1e-9
         x0 = uniform_start(problem.geometry)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from bvrvi.errors import DomainError, ParameterError, PremiseViolationError
+from bvrvi.errors import DomainError, ParameterError
 from bvrvi.geometry import (
     EUCLIDEAN_BALL,
     EUCLIDEAN_FREE,
@@ -162,8 +162,10 @@ def test_sigma1_frozen_worked_value():
     # (1-gamma)/(2(1-p)) - (2 a^2 + 5 a^2/2) with rho = 0, L = Lbar = b = 1:
     # 1/3 - 0.045.
     problem = _unit_affine_ball()
+    problem.tag = "non-monotone-weak-minty"
     params = SolverParams(gamma=0.5, p=0.25, alpha=0.1, b=1, iters=1)
-    bounds = theory_bounds(params, problem, regimes=("weak-minty",), strict=False)
+    bounds = theory_bounds(params, problem)
+    assert bounds.checked == ("weak-minty",)
     assert bounds.sigma1 == pytest.approx(0.28833333333333333, abs=1e-15)
     assert bounds.sigma2 == pytest.approx(
         8.0 + 4.0 * 0.5 / (0.75 * 0.01) + 4.0, rel=1e-14)
@@ -171,8 +173,6 @@ def test_sigma1_frozen_worked_value():
         helpers.alt_sigma1(0.5, 0.25, 0.1, 1, 1.0, 1.0, 0.0, 1.0), rel=1e-14)
     # The combined premise fails for these values and is reported, not hidden.
     assert any("<= 0" in f for f in bounds.failures)
-    with pytest.raises(PremiseViolationError):
-        theory_bounds(params, problem, regimes=("weak-minty",), strict=True)
 
 
 def test_ergodic_bounds_on_matrix_game():
@@ -187,10 +187,8 @@ def test_ergodic_bounds_on_matrix_game():
         helpers.alt_ergodic_coeff(params.gamma, params.alpha), rel=1e-14)
 
     too_big = SolverParams(gamma=0.11, p=0.01, alpha=0.05, b=2, iters=1)
-    loose = theory_bounds(too_big, problem, strict=False)
+    loose = theory_bounds(too_big, problem)
     assert any("alpha <=" in f for f in loose.failures)
-    with pytest.raises(PremiseViolationError, match="alpha <="):
-        theory_bounds(too_big, problem, strict=True)
 
 
 def test_regime_selection_follows_tag_and_p():
@@ -199,17 +197,15 @@ def test_regime_selection_follows_tag_and_p():
     assert theory_bounds(p1, game).checked == ()
     problem = build_regularized_game(10)
     alg11 = preset_example42("alg11", rho=problem.rho, iters=1)
-    assert theory_bounds(alg11, problem, strict=False).checked == ("weak-minty",)
+    assert theory_bounds(alg11, problem).checked == ("weak-minty",)
     alg12 = preset_example42("alg12", iters=1)
     assert theory_bounds(alg12, problem).checked == ("weak-minty-p1",)
-    with pytest.raises(ParameterError):
-        theory_bounds(p1, game, regimes=("sublinear",))
 
 
 def test_weak_minty_constants_frozen_for_structured_game():
     problem = build_regularized_game(100)
     alg11 = preset_example42("alg11", rho=problem.rho, iters=1)
-    bounds = theory_bounds(alg11, problem, strict=False)
+    bounds = theory_bounds(alg11, problem)
     assert bounds.sigma1 == pytest.approx(0.13074484037361167, rel=1e-10)
     assert bounds.sigma2 == pytest.approx(14078.35319849157, rel=1e-10)
     assert bounds.residual_coeff == pytest.approx(
@@ -261,7 +257,7 @@ def test_linear_rate_constants_frozen():
 
     # Shrinking alpha below (1/2 + gamma)/beta breaks the first premise.
     small = SolverParams(gamma=fp["gamma"], p=fp["p"], alpha=0.01, b=fp["b"], iters=1)
-    weak = theory_bounds(small, problem, strict=False)
+    weak = theory_bounds(small, problem)
     assert any("alpha >" in f for f in weak.failures)
 
 
@@ -279,7 +275,7 @@ def test_linear_rate_p1_constants_frozen():
                              problem.lip, problem.lip_bar, problem.beta), rel=1e-13)
     # gamma = 1 drops the 1/(1 - gamma) cap without dividing by zero.
     at_one = SolverParams(gamma=1.0, p=1.0, alpha=fp["alpha"], b=fp["b"], iters=1)
-    b1 = theory_bounds(at_one, problem, strict=False)
+    b1 = theory_bounds(at_one, problem)
     assert b1.varsigma == pytest.approx(
         helpers.alt_varsigma(1.0, fp["alpha"], fp["b"], problem.lip,
                              problem.lip_bar, problem.beta), rel=1e-13)
@@ -289,15 +285,18 @@ def test_theory_bounds_requirement_guards():
     game = build_matrix_game(4, 0)
     params = SolverParams(gamma=0.5, p=0.25, alpha=0.01, b=1, iters=1)
     # Entropy geometry has no Lipschitz mirror map.
+    game.tag = "non-monotone-weak-minty"
     with pytest.raises(DomainError):
-        theory_bounds(params, game, regimes=("weak-minty",))
+        theory_bounds(params, game)
     # A monotone game records no growth modulus beta.
+    game.tag = "strongly-pseudomonotone"
     with pytest.raises(ParameterError):
-        theory_bounds(params, game, regimes=("linear",))
+        theory_bounds(params, game)
     problem = _unit_affine_ball()
+    problem.tag = "non-monotone-weak-minty"
     problem.rho = None
     with pytest.raises(ParameterError):
-        theory_bounds(params, problem, regimes=("weak-minty",))
+        theory_bounds(params, problem)
 
 
 def test_linear_rate_envelope_shape():

@@ -79,21 +79,15 @@ def test_matrix_game_distribution_adapts_to_coordinate_gaps():
     dist = make_distribution(game, u, w)
     assert dist.r == pytest.approx([0.5, 0.5])
     assert dist.c == pytest.approx([0.5, 0.5])
-    assert not dist.degenerate
     assert dist.cum_r[-1] == pytest.approx(1.0)
 
     game3 = MatrixGameOperator(np.eye(3))
     u3 = BlockVector(([0.6, 0.3, 0.1], [0.2, 0.3, 0.5]))
     w3 = BlockVector(([0.3, 0.2, 0.5], [0.2, 0.3, 0.5]))
     dist2 = make_distribution(game3, u3, w3)
-    # Equal second blocks: row weights fall back to uniform, but the pair
-    # still differs so the distribution is not degenerate.
+    # Equal second blocks: row weights fall back to uniform.
     assert dist2.r == pytest.approx([1.0 / 3.0] * 3)
     assert dist2.c == pytest.approx([0.375, 0.125, 0.5])
-    assert not dist2.degenerate
-
-    dist3 = make_distribution(game, w, w)
-    assert dist3.degenerate
 
 
 def test_matrix_game_component_frozen_value():
@@ -120,6 +114,27 @@ def test_zero_probability_indices_never_sampled():
         game.component((1, 0), u, dist)
 
 
+class _TopUniform:
+    """Stub generator whose uniforms are all the largest double below one."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def test_top_uniform_never_draws_trailing_zero_weight():
+    game = MatrixGameOperator(np.eye(4))
+    u = BlockVector(([0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.5, 0.2]))
+    w = BlockVector(([0.1, 0.2, 0.3, 0.4], [0.2, 0.4, 0.2, 0.2]))
+    dist = make_distribution(game, u, w)
+    # The row weights round to a sum below one and end in a zero weight,
+    # so the top uniform lies past the last cumulative weight.
+    assert dist.r[-1] == 0.0 and dist.cum_r[-1] <= np.nextafter(1.0, 0.0)
+    batch = sample_batch(dist, 2, _TopUniform())
+    assert batch == [(2, 3), (2, 3)]
+    delta = estimator_delta(game.full(w), game, u, w, batch, dist)
+    assert np.isfinite(delta.data).all()
+
+
 def test_regularized_game_distribution_is_fixed():
     problem = build_regularized_game(6)
     a = problem.payoff
@@ -130,8 +145,8 @@ def test_regularized_game_distribution_is_fixed():
     dist = make_distribution(problem, u, w)
     assert dist.r == pytest.approx(np.sum(a * a, axis=1) / fro2, rel=1e-14)
     assert dist.c == pytest.approx(np.sum(a * a, axis=0) / fro2, rel=1e-14)
-    assert not dist.degenerate
-    assert make_distribution(problem, u, u).degenerate
+    assert make_distribution(problem, u, u) is dist
+    assert make_distribution(problem, w, u) is dist
 
 
 def test_sample_batch_consumes_two_uniform_blocks():
@@ -151,12 +166,9 @@ def test_sample_batch_validation():
     problem = build_regularized_game(4)
     rng = np.random.default_rng(1)
     u = helpers.random_feasible(problem.geometry, rng)
-    dist = make_distribution(problem, u, u)
+    dist = make_distribution(problem, u, helpers.random_feasible(problem.geometry, rng))
     with pytest.raises(ParameterError):
-        sample_batch(dist, 2, rng)  # degenerate
-    dist2 = make_distribution(problem, u, helpers.random_feasible(problem.geometry, rng))
-    with pytest.raises(ParameterError):
-        sample_batch(dist2, 0, rng)
+        sample_batch(dist, 0, rng)
 
 
 def test_sample_batch_frequencies_match_weights():
@@ -180,17 +192,6 @@ def test_sample_batch_frequencies_match_weights():
 # ---------------------------------------------------------------------------
 # Estimator.
 # ---------------------------------------------------------------------------
-
-def test_estimator_degenerate_returns_anchor_copy():
-    problem = build_regularized_game(4)
-    rng = np.random.default_rng(2)
-    x = helpers.random_feasible(problem.geometry, rng)
-    anchor = problem.full(x)
-    dist = make_distribution(problem, x, x)
-    delta = estimator_delta(anchor, problem, x, x, [], dist)
-    assert np.allclose(delta.data, anchor.data, rtol=1e-12, atol=0.0)
-    assert delta.blocks[0] is not anchor.blocks[0]
-
 
 def test_estimator_empty_batch_raises():
     problem = build_regularized_game(4)

@@ -104,10 +104,10 @@ def test_step_replicates_documented_randomness_order():
     memo = {0: f_w}  # full values at the start and at refresh steps, keyed by step
     produced = {}
     for s in range(3):
-        dist = make_distribution(problem, x_cur, w_prev)
-        if dist.degenerate:
+        if np.array_equal(x_cur.data, w_prev.data):
             delta = f_w
         else:
+            dist = make_distribution(problem, x_cur, w_prev)
             batch = sample_batch(dist, params.b, rng)
             acc = BlockVector.zeros(geo.block_dims)
             for xi in batch:
@@ -135,16 +135,21 @@ def test_step_replicates_documented_randomness_order():
 
 
 def test_first_step_skips_sampling_entirely():
-    """x_0 = w_{-1} makes the distribution degenerate: the first random
-    draw is the anchor coin, not a batch index."""
+    """x_0 = w_{-1}, so the sampled difference is zero: the first random
+    draw is the anchor coin, not a batch index, and delta is a copy of
+    the anchor value F(x_0)."""
     problem = _tiny_affine()
     params = SolverParams(gamma=0.9, p=0.55, alpha=0.1, b=3, iters=1, seed=31)
     state = init_state(problem, params)
+    anchor = state.f_w
     from bvrvi.solver import step
     step(state, problem, params)
     expected_heads = float(np.random.default_rng(31).random()) < params.p
     assert (state.anchor_refreshes == 1) == expected_heads
     assert state.sampled_iterations == 0
+    assert state.delta_last.data.tobytes() == anchor.data.tobytes()
+    assert state.delta_last is not anchor
+    assert not np.shares_memory(state.delta_last.data, anchor.data)
 
 
 # ---------------------------------------------------------------------------
