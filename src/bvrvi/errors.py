@@ -31,7 +31,8 @@ class PremiseViolationError(BvrviError, ValueError):
 
 
 class DivergenceError(BvrviError):
-    """An iterate stopped being finite; the message names the iteration."""
+    """An iterate stopped being finite; the message names the iterations
+    between the last finite logging point and the one that caught it."""
 
 
 class UsageError(BvrviError, ValueError):

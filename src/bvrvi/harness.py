@@ -9,14 +9,25 @@ Four experiments are wired:
 * ``linear-rate``: strongly monotone fixture with a known solution;
   distance to the solution.
 * ``variance-check``: Monte Carlo check of the estimator variance bound;
-  emits a PASS/FAIL line and the measured ratio.
+  emits a PASS/FAIL line and the measured ratio.  It runs no method.
+
+Methods and their flags: ``alg1`` and its gamma = p = 1 variant
+``alg1-p1`` take ``--preset`` or manual ``--gamma --p --alpha`` (all three;
+1, 1 and any alpha for ``alg1-p1``), else the experiment's default; on
+``linear-rate`` that is the fixture, whose b manual stepping keeps unless
+``--batch`` is given.  ``vr-forb`` takes ``--tau`` and an optional ``--p``,
+else its preset; both defaults of p need n >= 67.  ``_EXPERIMENTS`` and
+``_PRESETS`` say what each experiment and preset accepts, and
+``parse_config`` checks every combination against them: every refusal of
+the input (exit 2) happens before anything is printed or written.
 
 Every run writes one CSV per seed plus an aggregate CSV with the median
 across seeds per logged iteration (seed column -1).  Columns:
 ``iter, component_calls, full_evals, metric_name, metric_value, wall_ms,
 seed``; one row per (iteration, metric); floats in shortest round-trip
 form.  Reruns of an identical config produce byte-identical files (wall
-times are written as 0.0 unless timing is requested).
+times are written as 0.0 unless timing is requested).  ``--methods``
+also writes ``<experiment>_compare.csv`` with the final headline rows.
 
 Config sources compose as: built-in defaults, then a flat ``key = value``
 config file, then command line flags.  The effective config is echoed in
@@ -30,55 +41,27 @@ import math
 import statistics
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from .errors import ParameterError, UsageError
 from .geometry import BlockVector, dual_norm, primal_norm
-from .operators import (
-    FiniteSumProblem,
-    build_linear_rate_fixture,
-    build_matrix_game,
-    build_regularized_game,
-    estimator_delta,
-    make_distribution,
-    sample_batch,
-)
-from .solver import (
-    RunTrace,
-    SolverParams,
-    VrForbParams,
-    preset_corollary31,
-    preset_example41,
-    preset_example42,
-    preset_vr_forb,
-    run,
-    run_vr_forb,
-)
+from .operators import (LINEAR_RATE_VARIANTS, FiniteSumProblem, build_linear_rate_fixture,
+                        build_matrix_game, build_regularized_game, estimator_delta,
+                        make_distribution, sample_batch)
+from .solver import (RunTrace, SolverParams, VrForbParams, preset_corollary31,
+                     preset_example41, preset_example42, preset_vr_forb, run,
+                     run_vr_forb, vr_forb_p)
 
-EXPERIMENTS = ("matrix-game", "nonmonotone-game", "linear-rate", "variance-check")
 METHODS = ("alg1", "alg1-p1", "vr-forb")
 CSV_COLUMNS = ("iter", "component_calls", "full_evals", "metric_name",
                "metric_value", "wall_ms", "seed")
 
 _DEFAULT_SEEDS = (0, 1, 2, 3, 4)
-
-#: Per-experiment defaults for fields left unset: (n, iters, batch).
-_EXPERIMENT_DEFAULTS = {
-    "matrix-game": (100, 15000, 2),
-    "nonmonotone-game": (100, 15000, 15),
-    "linear-rate": (8, 3000, 0),      # fixture supplies batch
-    "variance-check": (4, 0, 16),
-}
-
-#: preset -> (method, experiments it is valid for)
-_PRESET_RULES = {
-    "corollary31": ("alg1", ("matrix-game", "nonmonotone-game")),
-    "example41": ("alg1", ("matrix-game",)),
-    "example42-alg11": ("alg1", ("nonmonotone-game",)),
-    "example42-alg12": ("alg1-p1", ("nonmonotone-game",)),
-}
+_ALG1_STEP_KEYS = ("gamma", "p", "alpha")
+_STEP_KEYS = (*_ALG1_STEP_KEYS, "tau")
 
 
 @dataclass(frozen=True)
@@ -108,8 +91,143 @@ class ExperimentConfig:
     mc_batches: int = 20000
 
 
+# ---------------------------------------------------------------------------
+# Presets and experiments; a derive maps (config, method, problem) to params.
+# ---------------------------------------------------------------------------
+
+class _Preset(NamedTuple):
+    method: str
+    experiments: tuple[str, ...]
+    derive: Callable
+
+
+_PRESETS = {
+    "corollary31": _Preset(
+        "alg1", ("matrix-game", "nonmonotone-game"),
+        lambda c, m, pb: preset_corollary31(pb.num_components, c.batch, pb.lip,
+                                            pb.lip_bar, c.iters)),
+    "example41": _Preset(
+        "alg1", ("matrix-game",),
+        lambda c, m, pb: preset_example41(c.n, c.batch, pb.lip, pb.lip_bar, c.iters)),
+    "example42-alg11": _Preset(
+        "alg1", ("nonmonotone-game",),
+        lambda c, m, pb: replace(preset_example42("alg11", rho=pb.rho, iters=c.iters),
+                                 b=c.batch)),
+    "example42-alg12": _Preset(
+        "alg1-p1", ("nonmonotone-game",),
+        lambda c, m, pb: replace(preset_example42("alg12", iters=c.iters), b=c.batch)),
+}
+
+
+def _variant(method: str) -> str:
+    """The linear-rate fixture a method runs on (``LINEAR_RATE_VARIANTS``)."""
+    return "p-eq-1" if method == "alg1-p1" else "p-lt-1"
+
+
+def _manual_params(config: ExperimentConfig, method: str):
+    """Parameters from the step flags; they need no problem to build."""
+    if method == "vr-forb":
+        p = config.p if config.p is not None else vr_forb_p(config.n)
+        return VrForbParams(tau=config.tau, p=p, iters=config.iters)
+    if method == "alg1-p1" and (config.gamma, config.p) != (1, 1):
+        raise ParameterError(f"gamma = p = 1 is fixed, got gamma={config.gamma}, "
+                             f"p={config.p}")
+    # Only linear-rate leaves batch 0: the fixture's b applies then.
+    b = config.batch or LINEAR_RATE_VARIANTS[_variant(method)]["b"]
+    return SolverParams(gamma=config.gamma, p=config.p, alpha=config.alpha, b=b,
+                        iters=config.iters)
+
+
+def _fixture_params(config, method, problem) -> SolverParams:
+    fx = LINEAR_RATE_VARIANTS[_variant(method)]
+    return SolverParams(gamma=fx["gamma"], p=fx["p"], alpha=fx["alpha"],
+                        b=config.batch or fx["b"], iters=config.iters)
+
+
+def _vr_forb_params(config, method, problem) -> VrForbParams:
+    return preset_vr_forb(config.n, problem.lip, config.iters)
+
+
+def _natural_residual(problem: FiniteSumProblem):
+    def metric(ctx):
+        if ctx.iteration == 0:
+            return math.nan
+        return metrics_mod.natural_residual(problem, ctx.state, ctx.params.gamma,
+                                            ctx.params.alpha)
+    return metric
+
+
+def _build_matrix_game(config, method):
+    problem = build_matrix_game(config.n, config.matrix_seed)
+    return problem, None, {
+        "duality_gap": lambda ctx: metrics_mod.duality_gap(problem, ctx.point),
+        "duality_gap_ergodic": lambda ctx: metrics_mod.duality_gap(problem, ctx.ergodic),
+    }
+
+
+def _build_nonmonotone_game(config, method):
+    problem = build_regularized_game(config.n)
+    return problem, BlockVector.full(problem.geometry.block_dims, 1.0), {
+        "residual_scaled": lambda ctx: metrics_mod.scaled_norm_residual(ctx.point, config.n),
+        "natural_residual": _natural_residual(problem),
+    }
+
+
+def _build_linear_rate(config, method):
+    problem, _ = build_linear_rate_fixture(_variant(method))
+    return problem, None, {
+        "dist_to_solution": lambda ctx: metrics_mod.distance_to_solution(problem, ctx.point),
+        "natural_residual": _natural_residual(problem),
+    }
+
+
+class _Experiment(NamedTuple):
+    """Defaults for n/iters/batch, headline metric, builder (config, method)
+    -> (problem, start, metric_fns) or None, and the derive of each accepted
+    method's default params (None: it needs a preset or manual stepping)."""
+
+    n: int
+    iters: int
+    batch: int
+    headline: str
+    build: Callable | None
+    defaults: dict
+
+
+_EXPERIMENTS = {
+    "matrix-game": _Experiment(
+        100, 15000, 2, "duality_gap_ergodic", _build_matrix_game,
+        {"alg1": _PRESETS["example41"].derive, "alg1-p1": None,
+         "vr-forb": _vr_forb_params}),
+    "nonmonotone-game": _Experiment(
+        100, 15000, 15, "residual_scaled", _build_nonmonotone_game,
+        {"alg1": _PRESETS["example42-alg11"].derive,
+         "alg1-p1": _PRESETS["example42-alg12"].derive, "vr-forb": _vr_forb_params}),
+    "linear-rate": _Experiment(
+        8, 3000, 0, "dist_to_solution", _build_linear_rate,
+        {"alg1": _fixture_params, "alg1-p1": _fixture_params}),
+    "variance-check": _Experiment(4, 0, 16, "variance_ratio", None, {}),
+}
+
+
+def _is_manual(config: ExperimentConfig, method: str) -> bool:
+    return (config.tau if method == "vr-forb" else config.alpha) is not None
+
+
+def _params(config: ExperimentConfig, method: str, problem: FiniteSumProblem):
+    """Manual stepping, else the chosen preset, else the method's default."""
+    if _is_manual(config, method):
+        return _manual_params(config, method)
+    derive = (_PRESETS[config.preset].derive if config.preset
+              else _EXPERIMENTS[config.experiment].defaults[method])
+    return derive(config, method, problem)
+
+
+# ---------------------------------------------------------------------------
+# Config parsing and validation.
+# ---------------------------------------------------------------------------
+
 _INT_KEYS = {"n", "iters", "batch", "log_stride", "matrix_seed", "mc_batches"}
-_FLOAT_KEYS = {"gamma", "p", "alpha", "tau"}
 _BOOL_KEYS = {"timing"}
 _LIST_KEYS = {"seeds", "methods"}
 _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
@@ -120,20 +238,17 @@ def _parse_scalar(key: str, text: str):
     try:
         if key in _INT_KEYS:
             return int(text)
-        if key in _FLOAT_KEYS:
+        if key in _STEP_KEYS:
             return float(text)
         if key in _BOOL_KEYS:
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
+            return {"true": True, "1": True, "yes": True,
+                    "false": False, "0": False, "no": False}[text.lower()]
         if key == "seeds":
             return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
         if key == "methods":
             return tuple(tok.strip() for tok in text.split(",") if tok.strip() != "")
         return text
-    except ValueError as exc:
+    except (ValueError, KeyError) as exc:
         raise UsageError(f"config key {key!r}: cannot parse value {text!r}") from exc
 
 
@@ -168,7 +283,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        add_help=True)
     ap.add_argument("--config", default=None, metavar="FILE",
                     help="flat 'key = value' config file; flags override it")
-    ap.add_argument("--experiment", choices=EXPERIMENTS, default=None)
+    ap.add_argument("--experiment", choices=tuple(_EXPERIMENTS), default=None)
     ap.add_argument("--method", choices=METHODS, default=None)
     ap.add_argument("--methods", default=None,
                     help="comma list of methods; triggers a comparison run")
@@ -180,10 +295,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--log-stride", dest="log_stride", type=int, default=None)
     ap.add_argument("--out", default=None, help="output directory")
     ap.add_argument("--preset", default=None,
-                    choices=sorted(_PRESET_RULES), metavar="PRESET")
-    ap.add_argument("--gamma", type=float, default=None)
-    ap.add_argument("--p", type=float, default=None)
-    ap.add_argument("--alpha", type=float, default=None)
+                    choices=sorted(_PRESETS), metavar="PRESET")
+    ap.add_argument("--gamma", type=float, default=None, help="alg1 manual stepping")
+    ap.add_argument("--p", type=float, default=None,
+                    help="anchor probability: alg1 manual stepping, or vr-forb with --tau")
+    ap.add_argument("--alpha", type=float, default=None, help="alg1 manual stepping")
     ap.add_argument("--tau", type=float, default=None, help="vr-forb step size")
     ap.add_argument("--matrix-seed", dest="matrix_seed", type=int, default=None)
     ap.add_argument("--timing", action=argparse.BooleanOptionalAction, default=None,
@@ -212,27 +328,19 @@ def parse_config(argv) -> ExperimentConfig:
 
     if "experiment" not in merged:
         raise UsageError("an experiment is required (--experiment or config file)")
-    config = replace(ExperimentConfig(experiment=merged.pop("experiment")), **merged)
-    return _validate(_resolve_defaults(config))
-
-
-def _resolve_defaults(config: ExperimentConfig) -> ExperimentConfig:
-    n_def, iters_def, batch_def = _EXPERIMENT_DEFAULTS[config.experiment] \
-        if config.experiment in _EXPERIMENT_DEFAULTS else (0, 0, 0)
-    updates = {}
-    if config.n == 0:
-        updates["n"] = n_def
-    if config.iters == 0:
-        updates["iters"] = iters_def
-    if config.batch == 0 and config.experiment != "linear-rate":
-        updates["batch"] = batch_def
-    return replace(config, **updates) if updates else config
+    return _validate(replace(ExperimentConfig(experiment=merged.pop("experiment")),
+                             **merged))
 
 
 def _validate(config: ExperimentConfig) -> ExperimentConfig:
-    if config.experiment not in EXPERIMENTS:
+    """Fill the experiment's defaults; refuse bad combinations without building."""
+    exp = _EXPERIMENTS.get(config.experiment)
+    if exp is None:
         raise UsageError(f"unknown experiment {config.experiment!r}")
-    for m in (config.methods or (config.method,)):
+    config = replace(config, n=config.n or exp.n, iters=config.iters or exp.iters,
+                     batch=config.batch or exp.batch)
+    methods = config.methods or (config.method,)
+    for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}")
     if not config.seeds:
@@ -243,54 +351,67 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         raise UsageError("n, iters and batch must be nonnegative")
     if config.mc_batches < 1:
         raise UsageError(f"mc_batches must be >= 1, got {config.mc_batches}")
+    if config.experiment == "linear-rate" and config.n != 8:
+        raise UsageError("linear-rate uses the fixed 8-dimensional fixture")
+    step_flags = [k for k in _STEP_KEYS if getattr(config, k) is not None]
 
     if config.preset:
-        if config.alpha is not None:
+        if step_flags:
             raise UsageError(
-                f"conflicting options: --alpha {config.alpha} with --preset "
-                f"{config.preset}; presets derive alpha"
+                f"conflicting options: --{' --'.join(step_flags)} with --preset "
+                f"{config.preset}; presets derive the step parameters"
             )
-        if config.gamma is not None or config.p is not None:
-            raise UsageError(
-                f"conflicting options: manual gamma/p with --preset {config.preset}"
-            )
-        rule = _PRESET_RULES.get(config.preset)
+        rule = _PRESETS.get(config.preset)
         if rule is None:
             raise UsageError(f"unknown preset {config.preset!r}")
-        method_req, experiments_ok = rule
-        for m in (config.methods or (config.method,)):
-            if m != method_req:
+        for m in methods:
+            if m != rule.method:
                 raise UsageError(
                     f"conflicting pair: method {m!r} with preset {config.preset!r} "
-                    f"(preset belongs to method {method_req!r})"
+                    f"(preset belongs to method {rule.method!r})"
                 )
-        if config.experiment not in experiments_ok:
+        if config.experiment not in rule.experiments:
             raise UsageError(
                 f"conflicting pair: experiment {config.experiment!r} with preset "
                 f"{config.preset!r}"
             )
+    if exp.build is None:
+        if config.methods or config.method != "alg1" or step_flags:
+            raise UsageError(f"{config.experiment} runs no method; it takes no "
+                             "method or step flags")
+        return config
 
-    manual = [k for k in ("gamma", "p", "alpha") if getattr(config, k) is not None]
-    if manual and len(manual) < 3:
-        missing = [k for k in ("gamma", "p", "alpha") if getattr(config, k) is None]
+    alg1_family = any(m != "vr-forb" for m in methods)
+    manual = [k for k in _ALG1_STEP_KEYS if k in step_flags]
+    if alg1_family and manual and len(manual) < 3:
+        missing = [k for k in _ALG1_STEP_KEYS if k not in manual]
         raise UsageError(
             f"manual stepping needs gamma, p and alpha together; missing {missing}"
         )
-    if config.tau is not None and "vr-forb" not in (config.methods or (config.method,)):
+    if not alg1_family and (config.gamma is not None or config.alpha is not None):
+        raise UsageError("vr-forb takes --tau and an optional --p, not --gamma or --alpha")
+    if not alg1_family and config.p is not None and config.tau is None:
+        raise UsageError("vr-forb's --p needs --tau")
+    if config.tau is not None and "vr-forb" not in methods:
         raise UsageError("--tau applies to the vr-forb method only")
-    if config.experiment == "linear-rate":
-        if config.preset:
+
+    for m in methods:
+        if m not in exp.defaults:
             raise UsageError(
-                f"conflicting pair: experiment 'linear-rate' with preset "
-                f"{config.preset!r} (the fixture fixes its parameters)"
+                f"conflicting pair: method {m!r} with experiment {config.experiment!r}"
             )
-        if config.n not in (0, 8):
-            raise UsageError("linear-rate uses the fixed 8-dimensional fixture")
-        for m in (config.methods or (config.method,)):
-            if m == "vr-forb":
-                raise UsageError(
-                    "conflicting pair: method 'vr-forb' with experiment 'linear-rate'"
-                )
+        if not (_is_manual(config, m) or config.preset or exp.defaults[m]):
+            raise UsageError(
+                f"method {m!r} on experiment {config.experiment!r} needs either a "
+                "preset or manual gamma/p/alpha"
+            )
+        try:  # builds what needs no problem; preset premises wait for the problem
+            if _is_manual(config, m):
+                _manual_params(config, m)
+            elif m == "vr-forb":
+                vr_forb_p(config.n)
+        except ParameterError as exc:
+            raise UsageError(f"method {m!r}: {exc}") from exc
     return config
 
 
@@ -312,148 +433,24 @@ def canonical_text(config: ExperimentConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Method wiring.
-# ---------------------------------------------------------------------------
-
-def _alg1_params(config: ExperimentConfig, method: str,
-                 problem: FiniteSumProblem) -> SolverParams:
-    if config.alpha is not None:
-        gamma, p = config.gamma, config.p
-        if method == "alg1-p1":
-            if (gamma is not None and gamma != 1.0) or (p is not None and p != 1.0):
-                raise UsageError(
-                    f"conflicting pair: method 'alg1-p1' with gamma={gamma}, p={p} "
-                    "(this method fixes gamma = p = 1)"
-                )
-            gamma, p = 1.0, 1.0
-        return SolverParams(gamma=gamma, p=p, alpha=config.alpha, b=config.batch,
-                            iters=config.iters, preset="manual")
-
-    preset = config.preset
-    if not preset:
-        if config.experiment == "matrix-game":
-            preset = "example41" if method == "alg1" else ""
-        elif config.experiment == "nonmonotone-game":
-            preset = "example42-alg11" if method == "alg1" else "example42-alg12"
-    if not preset:
-        raise UsageError(
-            f"method {method!r} on experiment {config.experiment!r} needs either a "
-            "preset or manual gamma/p/alpha"
-        )
-    if preset == "example41":
-        params = preset_example41(config.n, config.batch, problem.lip,
-                                  problem.lip_bar, config.iters)
-    elif preset == "corollary31":
-        params = preset_corollary31(problem.num_components, config.batch,
-                                    problem.lip, problem.lip_bar, config.iters)
-    elif preset == "example42-alg11":
-        params = preset_example42("alg11", rho=problem.rho, iters=config.iters)
-        params = replace(params, b=config.batch) if config.batch else params
-    elif preset == "example42-alg12":
-        params = preset_example42("alg12", iters=config.iters)
-        params = replace(params, b=config.batch) if config.batch else params
-    else:
-        raise UsageError(f"unknown preset {preset!r}")
-    return params
-
-
-def _build_problem(config: ExperimentConfig, method: str):
-    """Returns (problem, params_or_vrparams, start, metric names)."""
-    if config.experiment == "matrix-game":
-        problem = build_matrix_game(config.n, config.matrix_seed)
-        metric_names = ["duality_gap", "duality_gap_ergodic"]
-        start = None
-    elif config.experiment == "nonmonotone-game":
-        problem = build_regularized_game(config.n)
-        metric_names = ["residual_scaled", "natural_residual"]
-        start = BlockVector.full(problem.geometry.block_dims, 1.0)
-    elif config.experiment == "linear-rate":
-        variant = "p-eq-1" if method == "alg1-p1" else "p-lt-1"
-        problem, fixture_params = build_linear_rate_fixture(variant)
-        metric_names = ["dist_to_solution", "natural_residual"]
-        start = None
-        if config.alpha is None:
-            params = SolverParams(
-                gamma=fixture_params["gamma"], p=fixture_params["p"],
-                alpha=fixture_params["alpha"],
-                b=config.batch or fixture_params["b"],
-                iters=config.iters or fixture_params["iters"])
-        else:
-            params = _alg1_params(config, method, problem)
-        return problem, params, start, metric_names
-    else:
-        raise UsageError(f"experiment {config.experiment!r} has no solver wiring")
-
-    if method == "vr-forb":
-        if config.tau is not None:
-            p = config.p if config.p is not None else 8.15 / math.sqrt(config.n)
-            params = VrForbParams(tau=config.tau, p=p, iters=config.iters)
-        else:
-            params = preset_vr_forb(config.n, problem.lip, config.iters)
-    else:
-        params = _alg1_params(config, method, problem)
-    return problem, params, start, metric_names
-
-
-def _metric_fns(problem: FiniteSumProblem, names, config: ExperimentConfig, params):
-    fns = {}
-    for name in names:
-        if name == "duality_gap":
-            fns[name] = lambda ctx: metrics_mod.duality_gap(problem, ctx.point)
-        elif name == "duality_gap_ergodic":
-            fns[name] = lambda ctx: metrics_mod.duality_gap(problem, ctx.ergodic)
-        elif name == "residual_scaled":
-            fns[name] = lambda ctx: metrics_mod.scaled_norm_residual(ctx.point, config.n)
-        elif name == "dist_to_solution":
-            fns[name] = lambda ctx: metrics_mod.distance_to_solution(problem, ctx.point)
-        elif name == "natural_residual":
-            if isinstance(params, VrForbParams):
-                gamma, alpha = 1.0, params.tau
-            else:
-                gamma, alpha = params.gamma, params.alpha
-
-            def _nat(ctx, gamma=gamma, alpha=alpha):
-                if ctx.iteration == 0:
-                    return math.nan
-                return metrics_mod.natural_residual(problem, ctx.state, gamma, alpha)
-
-            fns[name] = _nat
-        else:
-            raise ParameterError(f"unknown metric {name!r}")
-    return fns
-
-
-def _headline_metric(experiment: str) -> str:
-    return {"matrix-game": "duality_gap_ergodic",
-            "nonmonotone-game": "residual_scaled",
-            "linear-rate": "dist_to_solution",
-            "variance-check": "variance_ratio"}[experiment]
-
-
-# ---------------------------------------------------------------------------
 # CSV plumbing.
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-def _write_csv(path: Path, rows) -> None:
+def _write_csv(path: Path, rows, columns=CSV_COLUMNS) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def trace_rows(trace: RunTrace, seed: int) -> list[tuple]:
-    rows = []
-    for rec in trace.records:
-        for name, value in rec.metrics.items():
-            rows.append((rec.iteration, rec.component_calls, rec.full_evals,
-                         name, float(value), float(rec.wall_ms), seed))
-    return rows
+    return [(rec.iteration, rec.component_calls, rec.full_evals, name, float(value),
+             float(rec.wall_ms), seed)
+            for rec in trace.records for name, value in rec.metrics.items()]
 
 
 def _median(values) -> float:
@@ -467,27 +464,20 @@ def aggregate_rows(per_seed_rows: dict[int, list[tuple]]) -> list[tuple]:
     """Median across seeds for every (iteration, metric) pair, seed = -1."""
     seeds = sorted(per_seed_rows)
     keyed: dict[tuple, dict[int, tuple]] = {}
-    order: list[tuple] = []
     for seed in seeds:
         for row in per_seed_rows[seed]:
             key = (row[0], row[3])
             if key not in keyed:
                 keyed[key] = {}
-                order.append(key)
             keyed[key][seed] = row
     out = []
-    for key in order:
-        group = keyed[key]
+    for key, group in keyed.items():
         if len(group) != len(seeds):
             raise ParameterError(f"seeds disagree on logged point {key}")
         rows = [group[s] for s in seeds]
-        out.append((key[0],
-                    int(_median(r[1] for r in rows)),
-                    int(_median(r[2] for r in rows)),
-                    key[1],
-                    _median(r[4] for r in rows),
-                    _median(r[5] for r in rows),
-                    -1))
+        out.append((key[0], int(_median(r[1] for r in rows)),
+                    int(_median(r[2] for r in rows)), key[1],
+                    _median(r[4] for r in rows), _median(r[5] for r in rows), -1))
     return out
 
 
@@ -524,7 +514,7 @@ def _run_seeds(fn, seeds) -> dict[int, object]:
 # Experiment execution.
 # ---------------------------------------------------------------------------
 
-def _theory_header_lines(problem, params) -> list[str]:
+def _header_lines(problem, params, traces: dict[int, RunTrace]) -> list[str]:
     if isinstance(params, VrForbParams):
         return [f"params.tau = {params.tau!r}", f"params.p = {params.p!r}"]
     lines = [f"params.gamma = {params.gamma!r}", f"params.p = {params.p!r}",
@@ -534,42 +524,32 @@ def _theory_header_lines(problem, params) -> list[str]:
         bounds = metrics_mod.theory_bounds(params, problem)
     except Exception as exc:  # refusals (no rho/beta, entropy mirror map)
         lines.append(f"theory.unavailable = {exc}")
-        return lines
-    for field_name in ("ergodic_coeff", "sigma1", "sigma2", "residual_coeff",
-                       "sigma1_p1", "sigma2_p1", "residual_coeff_p1",
-                       "theta", "varsigma", "envelope_coeff"):
-        value = getattr(bounds, field_name)
-        if value is not None:
-            lines.append(f"theory.{field_name} = {value!r}")
-    for failure in bounds.failures:
-        lines.append(f"theory.premise_violated = {failure}")
+    else:
+        for field_name in ("ergodic_coeff", "sigma1", "sigma2", "residual_coeff",
+                           "sigma1_p1", "sigma2_p1", "residual_coeff_p1",
+                           "theta", "varsigma", "envelope_coeff"):
+            value = getattr(bounds, field_name)
+            if value is not None:
+                lines.append(f"theory.{field_name} = {value!r}")
+        lines += [f"theory.premise_violated = {failure}" for failure in bounds.failures]
+
+    expected = params.p + (1.0 - params.p) ** 2
+    rates = [(st.counters.full_evals - 1) / st.iteration
+             for st in (trace.final_state for trace in traces.values()) if st.iteration]
+    if rates:
+        lines.append(f"accounting.fresh_full_rate_measured = {_fmt(sum(rates) / len(rates))}")
+        lines.append(f"accounting.fresh_full_rate_memoized = {_fmt(expected)}")
+    nominal = expected * problem.num_components + 2 * params.b
+    lines.append(f"accounting.component_calls_per_iter_nominal = {_fmt(nominal)}")
     return lines
 
 
-def _accounting_lines(problem, params, traces: dict[int, RunTrace]) -> list[str]:
-    lines = []
-    if not isinstance(params, VrForbParams):
-        p = params.p
-        expected = p + (1.0 - p) ** 2
-        rates = []
-        for trace in traces.values():
-            st = trace.final_state
-            if st.iteration:
-                rates.append((st.counters.full_evals - 1) / st.iteration)
-        if rates:
-            lines.append(f"accounting.fresh_full_rate_measured = {_fmt(sum(rates) / len(rates))}")
-            lines.append(f"accounting.fresh_full_rate_memoized = {_fmt(expected)}")
-        nominal = expected * problem.num_components + 2 * params.b
-        lines.append(f"accounting.component_calls_per_iter_nominal = {_fmt(nominal)}")
-    return lines
-
-
-def _single_method_run(config: ExperimentConfig, method: str, out_dir: Path):
-    problem, params, start, metric_names = _build_problem(config, method)
-    metric_fns = _metric_fns(problem, metric_names, config, params)
-    solve = run_vr_forb if isinstance(params, VrForbParams) else run
+def _run_method(config: ExperimentConfig, method: str, out_dir: Path):
+    problem, start, metric_fns = _EXPERIMENTS[config.experiment].build(config, method)
+    params = _params(config, method, problem)
 
     def one_seed(seed: int) -> RunTrace:
+        solve = run_vr_forb if method == "vr-forb" else run
         return solve(problem, replace(params, seed=seed), start=start,
                      metric_fns=metric_fns, log_stride=config.log_stride,
                      timing=config.timing)
@@ -582,8 +562,7 @@ def _single_method_run(config: ExperimentConfig, method: str, out_dir: Path):
     header = [f"# {stem} run header", "# --- config ---"]
     header += canonical_text(config).rstrip("\n").splitlines()
     header.append("# --- derived ---")
-    header += _theory_header_lines(problem, params)
-    header += _accounting_lines(problem, params, traces)
+    header += _header_lines(problem, params, traces)
     (out_dir / f"{stem}_header.txt").write_text("\n".join(header) + "\n",
                                                 encoding="utf-8")
     return per_seed_rows, agg
@@ -595,14 +574,12 @@ def _variance_check(config: ExperimentConfig, out_dir: Path) -> int:
 
     def one_seed(seed: int):
         rng = np.random.default_rng(seed)
-        x = BlockVector(tuple(rng.dirichlet(np.ones(d))
-                              for d in problem.geometry.block_dims))
-        w = BlockVector(tuple(rng.dirichlet(np.ones(d))
-                              for d in problem.geometry.block_dims))
+        x, w = (BlockVector(tuple(rng.dirichlet(np.ones(d))
+                                  for d in problem.geometry.block_dims))
+                for _ in range(2))
         dist = make_distribution(problem, x, w)
         bound = (problem.lip_bar ** 2 / b) * primal_norm(problem.geometry, x - w) ** 2
-        total = 0.0
-        total_sq = 0.0
+        total = total_sq = 0.0
         # The solver's estimator anchored at -(F(x) - F(w)) returns the noise
         # of the sampled difference around its mean.
         minus_mean_diff = (problem.full(x) - problem.full(w)).scaled(-1.0)
@@ -628,57 +605,44 @@ def _variance_check(config: ExperimentConfig, out_dir: Path) -> int:
         print(f"variance-check seed {seed}: "
               f"{'PASS' if ok else 'FAIL'} ratio={_fmt(ratio)} "
               f"(empirical={_fmt(mean)}, bound={_fmt(bound)}, se={_fmt(se)})")
-        rows_by_seed[seed] = [
-            (0, 0, 0, "variance_ratio", float(ratio), 0.0, seed),
-            (0, 0, 0, "variance_empirical", float(mean), 0.0, seed),
-            (0, 0, 0, "variance_bound", float(bound), 0.0, seed),
-        ]
+        rows_by_seed[seed] = [(0, 0, 0, f"variance_{name}", float(value), 0.0, seed)
+                              for name, value in (("ratio", ratio), ("empirical", mean),
+                                                  ("bound", bound))]
     _write_runs(out_dir, "variance-check", rows_by_seed)
     print(f"variance-check overall: {'PASS' if all_pass else 'FAIL'}")
     return 0
 
 
 def run_experiment(config: ExperimentConfig) -> int:
-    """Execute the configured experiment; returns the process exit code."""
+    """Execute the configured experiment; returns the process exit code.
+
+    Each method writes its CSVs and header.  A ``--methods`` run also writes
+    per method the final headline row of each seed and of the aggregate.
+    """
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     print("# effective config")
     print(canonical_text(config), end="")
 
-    if config.experiment == "variance-check":
+    exp = _EXPERIMENTS[config.experiment]
+    if exp.build is None:
         return _variance_check(config, out_dir)
 
-    if config.methods:
-        return compare_methods(config, out_dir)
-
-    _, agg = _single_method_run(config, config.method, out_dir)
-    headline = _headline_metric(config.experiment)
-    final = _final_row(agg, headline)
-    print(f"final median {headline} at iter {final[0]}: {_fmt(final[4])}")
-    return 0
-
-
-def compare_methods(config: ExperimentConfig, out_dir: Path) -> int:
-    """Run every method in config.methods and emit a comparison CSV.
-
-    Each method contributes its final headline row per seed, then the
-    final headline row of its aggregate (seed -1).
-    """
-    headline = _headline_metric(config.experiment)
     compare_rows = []
-    medians = {}
-    for method in config.methods:
-        per_seed_rows, agg = _single_method_run(config, method, out_dir)
-        finals = [_final_row(per_seed_rows[seed], headline) for seed in config.seeds]
-        finals.append(_final_row(agg, headline))
-        compare_rows += [(method, row[6], *row[:6]) for row in finals]
-        medians[method] = finals[-1][4]
-    path = out_dir / f"{config.experiment}_compare.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("method,seed,iter,component_calls,full_evals,"
-                 "metric_name,metric_value,wall_ms\n")
-        for row in compare_rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    for method, med in medians.items():
-        print(f"median final {headline} [{method}]: {_fmt(med)}")
+    finals = {}
+    for method in config.methods or (config.method,):
+        per_seed_rows, agg = _run_method(config, method, out_dir)
+        rows = [_final_row(per_seed_rows[seed], exp.headline) for seed in config.seeds]
+        rows.append(_final_row(agg, exp.headline))
+        compare_rows += [(method, row[6], *row[:6]) for row in rows]
+        finals[method] = rows[-1]
+    if not config.methods:
+        final = finals[config.method]
+        print(f"final median {exp.headline} at iter {final[0]}: {_fmt(final[4])}")
+        return 0
+
+    _write_csv(out_dir / f"{config.experiment}_compare.csv", compare_rows,
+               ("method", "seed", *CSV_COLUMNS[:-1]))
+    for method, final in finals.items():
+        print(f"median final {exp.headline} [{method}]: {_fmt(final[4])}")
     return 0

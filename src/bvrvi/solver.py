@@ -97,32 +97,31 @@ def monotone_step_bound(gamma: float, p: float, b: int, lip: float, lip_bar: flo
     )
 
 
+def _sqrt_preset(k: int, k_name: str, k_min: int, tag: str, b: int, lip: float,
+                 lip_bar: float, iters: int, seed: int) -> SolverParams:
+    """p = 1/k, gamma = p + 1/sqrt(k), alpha at the step bound; needs k >= k_min."""
+    if k < k_min:
+        raise PremiseViolationError(
+            f"{tag} preset needs {k_name} >= {k_min} so that "
+            f"gamma = 1/{k_name} + 1/sqrt({k_name}) < 1; got {k_name}={k}"
+        )
+    p = 1.0 / k
+    gamma = p + 1.0 / math.sqrt(k)
+    alpha = monotone_step_bound(gamma, p, b, lip, lip_bar)
+    return SolverParams(gamma=gamma, p=p, alpha=alpha, b=b, iters=iters,
+                        seed=seed, preset=tag)
+
+
 def preset_corollary31(m: int, b: int, lip: float, lip_bar: float,
                        iters: int, seed: int = 0) -> SolverParams:
     """Parameter-free preset: p = 1/M, gamma = p + 1/sqrt(M), alpha at the bound."""
-    if m < 4:
-        raise PremiseViolationError(
-            f"corollary31 preset needs M >= 4 so that gamma = 1/M + 1/sqrt(M) < 1; got M={m}"
-        )
-    p = 1.0 / m
-    gamma = p + 1.0 / math.sqrt(m)
-    alpha = monotone_step_bound(gamma, p, b, lip, lip_bar)
-    return SolverParams(gamma=gamma, p=p, alpha=alpha, b=b, iters=iters,
-                        seed=seed, preset="corollary31")
+    return _sqrt_preset(m, "M", 4, "corollary31", b, lip, lip_bar, iters, seed)
 
 
 def preset_example41(n: int, b: int, lip: float, lip_bar: float,
                      iters: int, seed: int = 0) -> SolverParams:
     """Matrix-game preset keyed to the block dimension n (not to M = n^2)."""
-    if n < 3:
-        raise PremiseViolationError(
-            f"example41 preset needs n >= 3 so that gamma = 1/n + 1/sqrt(n) < 1; got n={n}"
-        )
-    p = 1.0 / n
-    gamma = p + 1.0 / math.sqrt(n)
-    alpha = monotone_step_bound(gamma, p, b, lip, lip_bar)
-    return SolverParams(gamma=gamma, p=p, alpha=alpha, b=b, iters=iters,
-                        seed=seed, preset="example41")
+    return _sqrt_preset(n, "n", 3, "example41", b, lip, lip_bar, iters, seed)
 
 
 def preset_example42(variant: str, rho: float | None = None, iters: int = 15000,
@@ -174,6 +173,10 @@ class VrForbParams:
     iters: int
     seed: int = 0
 
+    # Its step is the main prox without inertial mixing: gamma = 1, alpha = tau.
+    gamma = 1.0
+    alpha = property(lambda self: self.tau)
+
     def __post_init__(self):
         if not self.tau > 0.0:
             raise ParameterError(f"tau must be positive, got {self.tau}")
@@ -183,13 +186,21 @@ class VrForbParams:
             raise ParameterError(f"iters must be >= 0, got {self.iters}")
 
 
-def preset_vr_forb(n: int, lip: float, iters: int, seed: int = 0) -> VrForbParams:
-    """Baseline preset p = 8.15/sqrt(n), tau = (1 - sqrt(1 - p)) / (3 L^2)."""
-    p = 8.15 / math.sqrt(n)
+def vr_forb_p(n: int) -> float:
+    """The baseline's default anchor probability scale/sqrt(n); it must stay below 1."""
+    scale = 8.15
+    p = scale / math.sqrt(n)
     if not p < 1.0:
         raise ParameterError(
-            f"vr-forb preset needs 8.15/sqrt(n) < 1, got {p} for n={n}; pass tau and p explicitly"
+            f"vr-forb's default p = {scale}/sqrt(n) must be < 1, which needs n >= 67; "
+            f"got p={p!r} for n={n}; pass tau and p explicitly"
         )
+    return p
+
+
+def preset_vr_forb(n: int, lip: float, iters: int, seed: int = 0) -> VrForbParams:
+    """Baseline preset: p = vr_forb_p(n), tau = (1 - sqrt(1 - p)) / (3 L^2)."""
+    p = vr_forb_p(n)
     tau = (1.0 - math.sqrt(1.0 - p)) / (3.0 * lip * lip)
     return VrForbParams(tau=tau, p=p, iters=iters, seed=seed)
 
@@ -337,11 +348,13 @@ def _drive(problem: FiniteSumProblem, params: SolverParams | VrForbParams,
     iteration.  The ergodic point is the running average of the iterates
     produced so far (the start itself at iteration 0).  Wall times are
     reported as 0.0 unless ``timing`` is set, keeping traces byte-stable.
-    A non-finite iterate at a logging point raises DivergenceError; both
-    prox maps keep a non-finite iterate non-finite, so checking at the
-    logging points misses no divergence.  Each step runs with numpy's
-    overflow and invalid-value warnings silenced: the DivergenceError is
-    the report.  Metrics and the ergodic sum still warn.
+    A non-finite iterate at a logging point raises DivergenceError naming
+    the iterations since the last (finite) logging point; both prox maps
+    keep a non-finite iterate non-finite, so checking at the logging
+    points misses no divergence and keeps the check off the per-step
+    path.  Each step runs with numpy's overflow and invalid-value warnings
+    silenced: the DivergenceError is the report.  Metrics and the ergodic
+    sum still warn.
     """
     if log_stride < 1:
         raise ParameterError(f"log_stride must be >= 1, got {log_stride}")
@@ -352,9 +365,12 @@ def _drive(problem: FiniteSumProblem, params: SolverParams | VrForbParams,
     t0 = time.perf_counter()
 
     def log(it: int, ergodic: BlockVector) -> None:
-        if not all(np.isfinite(block).all() for block in state.x_cur.blocks):
+        if not np.isfinite(state.x_cur.data).all():
+            first = records[-1].iteration + 1 if records else it
+            where = (f"at iteration {it}" if first == it
+                     else f"between iterations {first} and {it}")
             raise DivergenceError(
-                f"iterate has non-finite entries at iteration {it}; "
+                f"iterate became non-finite {where}; "
                 "the step size is too large for this problem"
             )
         wall_ms = (time.perf_counter() - t0) * 1000.0 if timing else 0.0

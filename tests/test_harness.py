@@ -176,6 +176,7 @@ def test_run_experiment_emits_expected_files(tmp_path, capsys):
     for name in ("matrix-game_alg1_seed0.csv", "matrix-game_alg1_seed1.csv",
                  "matrix-game_alg1_aggregate.csv", "matrix-game_alg1_header.txt"):
         assert (out_dir / name).exists()
+    assert not (out_dir / "matrix-game_compare.csv").exists()  # --methods only
 
     rows = _read_rows(out_dir / "matrix-game_alg1_seed0.csv")
     iters = [int(r[0]) for r in rows if r[3] == "duality_gap"]
@@ -277,8 +278,70 @@ def test_exit_code_5_on_divergence(tmp_path, capsys, experiment):
               and "exceeds the guaranteed step bound" not in str(w.message)]
     assert leaked == []
     assert code == 5
-    assert "diverged:" in capsys.readouterr().err
+    # Checked at log points only: the window runs from the last finite one.
+    assert "diverged: iterate became non-finite between iterations 1 and 100" \
+        in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--experiment", "matrix-game", "--method", "alg1-p1", "--gamma", "0.5",
+     "--p", "0.1", "--alpha", "0.1"],
+    ["--experiment", "matrix-game", "--method", "alg1-p1"],
+    ["--experiment", "nonmonotone-game", "--method", "vr-forb", "--n", "20"],
+    ["--experiment", "matrix-game", "--method", "vr-forb", "--n", "20", "--tau", "0.01"],
+    ["--experiment", "variance-check", "--methods", "alg1,vr-forb"],
+], ids=["alg1-p1-gamma-not-1", "alg1-p1-matrix-game-unstepped", "vr-forb-preset-small-n",
+        "vr-forb-default-p-small-n", "variance-check-methods"])
+def test_bad_combination_refused_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    argv = [*argv, "--iters", "20", "--seeds", "0", "--out", str(out)]
+    with pytest.raises(UsageError):
+        parse_config(argv)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+    assert not out.exists()
+
+
+def test_vr_forb_small_n_refusal_names_accepted_flags(tmp_path, capsys):
+    argv = ["--experiment", "matrix-game", "--method", "vr-forb", "--n", "20",
+            "--iters", "20", "--seeds", "0", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "n >= 67" in err and "tau and p explicitly" in err
+    # The advice works: tau and p together run at n = 20.
+    assert main([*argv, "--tau", "0.01", "--p", "0.2"]) == 0
+
+
+def test_vr_forb_takes_tau_and_optional_p(tmp_path, capsys):
+    argv = ["--experiment", "matrix-game", "--n", "20", "--method", "vr-forb",
+            "--tau", "0.01", "--p", "0.2", "--iters", "20", "--seeds", "0",
+            "--out", str(tmp_path)]
+    assert parse_config(argv).p == 0.2
+    assert main(argv) == 0
+    header = (tmp_path / "matrix-game_vr-forb_header.txt").read_text("utf-8")
+    assert "params.tau = 0.01\nparams.p = 0.2\n" in header
+
+
+@pytest.mark.parametrize("extra", [["--gamma", "0.3", "--alpha", "7"],
+                                   ["--gamma", "0.3", "--p", "0.2", "--alpha", "7"]])
+def test_vr_forb_alone_refuses_gamma_and_alpha(tmp_path, capsys, extra):
+    argv = ["--experiment", "matrix-game", "--method", "vr-forb", *extra,
+            "--tau", "0.01", "--iters", "20", "--seeds", "0", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "vr-forb takes --tau and an optional --p" in captured.err
+
+
+def test_linear_rate_manual_stepping_keeps_fixture_batch(tmp_path, capsys):
+    argv = ["--experiment", "linear-rate", "--gamma", "0.45", "--p", "0.05",
+            "--alpha", "0.41", "--iters", "30", "--seeds", "0", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    header = (tmp_path / "linear-rate_alg1_header.txt").read_text("utf-8")
+    assert "params.b = 32\n" in header and "params.preset = manual\n" in header
 
 
 def test_run_seeds_is_serial_on_calling_thread():
