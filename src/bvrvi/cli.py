@@ -1,7 +1,9 @@
 """Console entry point.
 
 Exit codes: 0 success, 2 usage error, 3 premise violation, 4 I/O error,
-5 diverged (an iterate stopped being finite).
+5 diverged (an iterate stopped being finite).  Usage errors and the
+premises of the presets are refused (2, 3) before anything is printed or
+written.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(build_arg_parser().format_usage(), end="", file=sys.stderr)
         return 2
+    except PremiseViolationError as exc:
+        print(f"premise violation: {exc}", file=sys.stderr)
+        return 3
     try:
         return run_experiment(config)
     except (UsageError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PremiseViolationError as exc:
-        print(f"premise violation: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

@@ -19,7 +19,8 @@ Methods and their flags: ``alg1`` and its gamma = p = 1 variant
 else its preset; both defaults of p need n >= 67.  ``_EXPERIMENTS`` and
 ``_PRESETS`` say what each experiment and preset accepts, and
 ``parse_config`` checks every combination against them: every refusal of
-the input (exit 2) happens before anything is printed or written.
+the input (exit 2), and of a preset whose premise the config already
+breaks (exit 3), happens before anything is printed or written.
 
 Every run writes one CSV per seed plus an aggregate CSV with the median
 across seeds per logged iteration (seed column -1).  Columns:
@@ -51,9 +52,9 @@ from .geometry import BlockVector, dual_norm, primal_norm
 from .operators import (LINEAR_RATE_VARIANTS, FiniteSumProblem, build_linear_rate_fixture,
                         build_matrix_game, build_regularized_game, estimator_delta,
                         make_distribution, sample_batch)
-from .solver import (RunTrace, SolverParams, VrForbParams, preset_corollary31,
-                     preset_example41, preset_example42, preset_vr_forb, run,
-                     run_vr_forb, vr_forb_p)
+from .solver import (RunTrace, SolverParams, VrForbParams, check_sqrt_premise,
+                     preset_corollary31, preset_example41, preset_example42,
+                     preset_vr_forb, run, run_vr_forb, vr_forb_p)
 
 METHODS = ("alg1", "alg1-p1", "vr-forb")
 CSV_COLUMNS = ("iter", "component_calls", "full_evals", "metric_name",
@@ -96,19 +97,30 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 class _Preset(NamedTuple):
+    """How a method derives its parameters when it is not stepped manually.
+
+    ``method`` and ``experiments`` say where ``--preset`` may select it.
+    ``premise`` (config -> None) refuses from the config alone what
+    ``derive`` would refuse once the problem is built.
+    """
+
     method: str
     experiments: tuple[str, ...]
     derive: Callable
+    premise: Callable = lambda config: None
 
 
 _PRESETS = {
     "corollary31": _Preset(
         "alg1", ("matrix-game", "nonmonotone-game"),
         lambda c, m, pb: preset_corollary31(pb.num_components, c.batch, pb.lip,
-                                            pb.lip_bar, c.iters)),
+                                            pb.lip_bar, c.iters),
+        # Both games it runs on are n x n grids: M = n^2.
+        lambda c: check_sqrt_premise("corollary31", c.n * c.n)),
     "example41": _Preset(
         "alg1", ("matrix-game",),
-        lambda c, m, pb: preset_example41(c.n, c.batch, pb.lip, pb.lip_bar, c.iters)),
+        lambda c, m, pb: preset_example41(c.n, c.batch, pb.lip, pb.lip_bar, c.iters),
+        lambda c: check_sqrt_premise("example41", c.n)),
     "example42-alg11": _Preset(
         "alg1", ("nonmonotone-game",),
         lambda c, m, pb: replace(preset_example42("alg11", rho=pb.rho, iters=c.iters),
@@ -144,8 +156,10 @@ def _fixture_params(config, method, problem) -> SolverParams:
                         b=config.batch or fx["b"], iters=config.iters)
 
 
-def _vr_forb_params(config, method, problem) -> VrForbParams:
-    return preset_vr_forb(config.n, problem.lip, config.iters)
+# Defaults that --preset cannot select, so no method or experiment is named.
+_FIXTURE = _Preset("", (), _fixture_params)
+_VR_FORB = _Preset("", (), lambda c, m, pb: preset_vr_forb(c.n, pb.lip, c.iters),
+                   lambda c: vr_forb_p(c.n))
 
 
 def _natural_residual(problem: FiniteSumProblem):
@@ -183,8 +197,8 @@ def _build_linear_rate(config, method):
 
 class _Experiment(NamedTuple):
     """Defaults for n/iters/batch, headline metric, builder (config, method)
-    -> (problem, start, metric_fns) or None, and the derive of each accepted
-    method's default params (None: it needs a preset or manual stepping)."""
+    -> (problem, start, metric_fns) or None, and each accepted method's
+    default ``_Preset`` (None: it needs a preset or manual stepping)."""
 
     n: int
     iters: int
@@ -197,15 +211,14 @@ class _Experiment(NamedTuple):
 _EXPERIMENTS = {
     "matrix-game": _Experiment(
         100, 15000, 2, "duality_gap_ergodic", _build_matrix_game,
-        {"alg1": _PRESETS["example41"].derive, "alg1-p1": None,
-         "vr-forb": _vr_forb_params}),
+        {"alg1": _PRESETS["example41"], "alg1-p1": None, "vr-forb": _VR_FORB}),
     "nonmonotone-game": _Experiment(
         100, 15000, 15, "residual_scaled", _build_nonmonotone_game,
-        {"alg1": _PRESETS["example42-alg11"].derive,
-         "alg1-p1": _PRESETS["example42-alg12"].derive, "vr-forb": _vr_forb_params}),
+        {"alg1": _PRESETS["example42-alg11"], "alg1-p1": _PRESETS["example42-alg12"],
+         "vr-forb": _VR_FORB}),
     "linear-rate": _Experiment(
         8, 3000, 0, "dist_to_solution", _build_linear_rate,
-        {"alg1": _fixture_params, "alg1-p1": _fixture_params}),
+        {"alg1": _FIXTURE, "alg1-p1": _FIXTURE}),
     "variance-check": _Experiment(4, 0, 16, "variance_ratio", None, {}),
 }
 
@@ -214,13 +227,18 @@ def _is_manual(config: ExperimentConfig, method: str) -> bool:
     return (config.tau if method == "vr-forb" else config.alpha) is not None
 
 
+def _preset(config: ExperimentConfig, method: str) -> _Preset | None:
+    """The chosen preset, else the method's default on the experiment."""
+    if config.preset:
+        return _PRESETS[config.preset]
+    return _EXPERIMENTS[config.experiment].defaults[method]
+
+
 def _params(config: ExperimentConfig, method: str, problem: FiniteSumProblem):
     """Manual stepping, else the chosen preset, else the method's default."""
     if _is_manual(config, method):
         return _manual_params(config, method)
-    derive = (_PRESETS[config.preset].derive if config.preset
-              else _EXPERIMENTS[config.experiment].defaults[method])
-    return derive(config, method, problem)
+    return _preset(config, method).derive(config, method, problem)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +351,8 @@ def parse_config(argv) -> ExperimentConfig:
 
 
 def _validate(config: ExperimentConfig) -> ExperimentConfig:
-    """Fill the experiment's defaults; refuse bad combinations without building."""
+    """Fill the experiment's defaults; refuse bad combinations and broken
+    preset premises without building."""
     exp = _EXPERIMENTS.get(config.experiment)
     if exp is None:
         raise UsageError(f"unknown experiment {config.experiment!r}")
@@ -400,16 +419,17 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
             raise UsageError(
                 f"conflicting pair: method {m!r} with experiment {config.experiment!r}"
             )
-        if not (_is_manual(config, m) or config.preset or exp.defaults[m]):
+        if not (_is_manual(config, m) or _preset(config, m)):
             raise UsageError(
                 f"method {m!r} on experiment {config.experiment!r} needs either a "
                 "preset or manual gamma/p/alpha"
             )
-        try:  # builds what needs no problem; preset premises wait for the problem
+        # Checks what needs no problem; a PremiseViolationError passes through.
+        try:
             if _is_manual(config, m):
                 _manual_params(config, m)
-            elif m == "vr-forb":
-                vr_forb_p(config.n)
+            else:
+                _preset(config, m).premise(config)
         except ParameterError as exc:
             raise UsageError(f"method {m!r}: {exc}") from exc
     return config

@@ -224,7 +224,8 @@ class MatrixGameOperator(_BilinearGame):
         super().__init__(payoff)
         n = self.n
         self.geometry = GeometrySpec(ENTROPY_SIMPLEX, (n, n))
-        self.lip = float(np.max(np.abs(self.payoff)))
+        # max|A_ij| without the n x n temporary that np.abs would allocate.
+        self.lip = float(max(self.payoff.max(), -self.payoff.min()))
         self.lip_bar = self.lip
         self.tag = "monotone"
         self.rho = 0.0
@@ -260,11 +261,12 @@ class RegularizedGameOperator(_BilinearGame):
         self.tag = "non-monotone-weak-minty"
         self.rho = float(lam / (lam * lam + s * s))
         self.solution = BlockVector.zeros((n, n))
-        fro2 = float(np.sum(payoff * payoff))
+        sq = payoff * payoff  # the only payoff-sized array built here
+        fro2 = float(np.sum(sq))
         if fro2 == 0.0:
             raise ParameterError("payoff matrix is zero; sampling weights undefined")
-        r = np.sum(payoff * payoff, axis=1) / fro2
-        c = np.sum(payoff * payoff, axis=0) / fro2
+        r = np.sum(sq, axis=1) / fro2
+        c = np.sum(sq, axis=0) / fro2
         self._dist = OracleSampleDistribution(r=r, c=c)
 
 
@@ -422,8 +424,8 @@ def build_regularized_game(n: int, lam: float = 0.01,
         raise ParameterError(f"need n >= 2, got {n}")
     idx = np.arange(n)
     base = ((np.abs(idx[:, None] - idx[None, :]) + 1.0) / (2.0 * n - 1.0)) ** 2
-    scaled = base * (target_spectral / power_iteration_norm(base))
-    return RegularizedGameOperator(scaled, lam=lam, spectral_norm=target_spectral)
+    base *= target_spectral / power_iteration_norm(base)
+    return RegularizedGameOperator(base, lam=lam, spectral_norm=target_spectral)
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:

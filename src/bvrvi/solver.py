@@ -97,14 +97,28 @@ def monotone_step_bound(gamma: float, p: float, b: int, lip: float, lip_bar: flo
     )
 
 
-def _sqrt_preset(k: int, k_name: str, k_min: int, tag: str, b: int, lip: float,
-                 lip_bar: float, iters: int, seed: int) -> SolverParams:
-    """p = 1/k, gamma = p + 1/sqrt(k), alpha at the step bound; needs k >= k_min."""
+#: What each sqrt preset is keyed to: tag -> (name of k, least admissible k).
+_SQRT_PRESET_K = {"corollary31": ("M", 4), "example41": ("n", 3)}
+
+
+def check_sqrt_premise(tag: str, k: int) -> None:
+    """Refuse a sqrt preset whose k is too small for gamma = 1/k + 1/sqrt(k) < 1.
+
+    The premise depends on k alone, so a caller can check it before the
+    problem is built.
+    """
+    k_name, k_min = _SQRT_PRESET_K[tag]
     if k < k_min:
         raise PremiseViolationError(
             f"{tag} preset needs {k_name} >= {k_min} so that "
             f"gamma = 1/{k_name} + 1/sqrt({k_name}) < 1; got {k_name}={k}"
         )
+
+
+def _sqrt_preset(k: int, tag: str, b: int, lip: float, lip_bar: float,
+                 iters: int, seed: int) -> SolverParams:
+    """p = 1/k, gamma = p + 1/sqrt(k), alpha at the step bound (see check_sqrt_premise)."""
+    check_sqrt_premise(tag, k)
     p = 1.0 / k
     gamma = p + 1.0 / math.sqrt(k)
     alpha = monotone_step_bound(gamma, p, b, lip, lip_bar)
@@ -115,13 +129,13 @@ def _sqrt_preset(k: int, k_name: str, k_min: int, tag: str, b: int, lip: float,
 def preset_corollary31(m: int, b: int, lip: float, lip_bar: float,
                        iters: int, seed: int = 0) -> SolverParams:
     """Parameter-free preset: p = 1/M, gamma = p + 1/sqrt(M), alpha at the bound."""
-    return _sqrt_preset(m, "M", 4, "corollary31", b, lip, lip_bar, iters, seed)
+    return _sqrt_preset(m, "corollary31", b, lip, lip_bar, iters, seed)
 
 
 def preset_example41(n: int, b: int, lip: float, lip_bar: float,
                      iters: int, seed: int = 0) -> SolverParams:
     """Matrix-game preset keyed to the block dimension n (not to M = n^2)."""
-    return _sqrt_preset(n, "n", 3, "example41", b, lip, lip_bar, iters, seed)
+    return _sqrt_preset(n, "example41", b, lip, lip_bar, iters, seed)
 
 
 def preset_example42(variant: str, rho: float | None = None, iters: int = 15000,

@@ -3,13 +3,14 @@
 import hashlib
 import math
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
 from bvrvi.cli import main
-from bvrvi.errors import ParameterError, UsageError
+from bvrvi.errors import ParameterError, PremiseViolationError, UsageError
 from bvrvi.harness import (
     CSV_COLUMNS,
     _run_seeds,
@@ -19,6 +20,7 @@ from bvrvi.harness import (
     read_config_file,
     run_experiment,
 )
+from bvrvi.operators import RegularizedGameOperator, build_regularized_game
 
 
 def _read_rows(path: Path) -> list[list[str]]:
@@ -284,24 +286,27 @@ def test_exit_code_5_on_divergence(tmp_path, capsys, experiment):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["--experiment", "matrix-game", "--method", "alg1-p1", "--gamma", "0.5",
-     "--p", "0.1", "--alpha", "0.1"],
-    ["--experiment", "matrix-game", "--method", "alg1-p1"],
-    ["--experiment", "nonmonotone-game", "--method", "vr-forb", "--n", "20"],
-    ["--experiment", "matrix-game", "--method", "vr-forb", "--n", "20", "--tau", "0.01"],
-    ["--experiment", "variance-check", "--methods", "alg1,vr-forb"],
+@pytest.mark.parametrize("argv, code", [
+    (["--experiment", "matrix-game", "--method", "alg1-p1", "--gamma", "0.5",
+      "--p", "0.1", "--alpha", "0.1"], 2),
+    (["--experiment", "matrix-game", "--method", "alg1-p1"], 2),
+    (["--experiment", "nonmonotone-game", "--method", "vr-forb", "--n", "20"], 2),
+    (["--experiment", "matrix-game", "--method", "vr-forb", "--n", "20", "--tau", "0.01"], 2),
+    (["--experiment", "variance-check", "--methods", "alg1,vr-forb"], 2),
+    (["--experiment", "matrix-game", "--n", "2"], 3),
 ], ids=["alg1-p1-gamma-not-1", "alg1-p1-matrix-game-unstepped", "vr-forb-preset-small-n",
-        "vr-forb-default-p-small-n", "variance-check-methods"])
-def test_bad_combination_refused_before_any_output(tmp_path, capsys, argv):
+        "vr-forb-default-p-small-n", "variance-check-methods", "example41-premise-small-n"])
+def test_bad_combination_refused_before_any_output(tmp_path, capsys, argv, code):
+    error, prefix = {2: (UsageError, "error:"),
+                     3: (PremiseViolationError, "premise violation:")}[code]
     out = tmp_path / "out"
     argv = [*argv, "--iters", "20", "--seeds", "0", "--out", str(out)]
-    with pytest.raises(UsageError):
+    with pytest.raises(error):
         parse_config(argv)
-    assert main(argv) == 2
+    assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error:" in captured.err
+    assert prefix in captured.err
     assert not out.exists()
 
 
@@ -393,3 +398,51 @@ def test_nonmonotone_run_uses_residual_headline(tmp_path, capsys):
     header = (tmp_path / "nonmonotone-game_alg1_header.txt").read_text("utf-8")
     assert "params.preset = example42-alg11" in header
     assert "theory.sigma1 = " in header
+
+
+# ---------------------------------------------------------------------------
+# Memory.
+# ---------------------------------------------------------------------------
+
+def _traced_peak(fn) -> int:
+    """Bytes allocated by fn() at its traced peak above what was live before."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def _matrix_game_run(tmp_path):
+    argv = ["--experiment", "matrix-game", "--n", "500", "--iters", "200",
+            "--out", str(tmp_path)]
+
+    def run():
+        assert main(argv) == 0
+    return 500, run
+
+
+def _regularized_game_init(tmp_path):
+    payoff = build_regularized_game(300).payoff
+    return 300, lambda: RegularizedGameOperator(payoff, lam=0.01, spectral_norm=10.0)
+
+
+def _regularized_game_build(tmp_path):
+    return 300, lambda: build_regularized_game(300)
+
+
+@pytest.mark.parametrize("case, payoffs", [
+    (_matrix_game_run, 1.5),
+    (_regularized_game_init, 1.5),
+    (_regularized_game_build, 2.5),
+], ids=["matrix-game-cli-run", "regularized-game-init", "regularized-game-build"])
+def test_game_allocates_no_extra_payoff_copy(tmp_path, capsys, case, payoffs):
+    """A whole matrix-game run allocates its payoff and no second n x n
+    array; the regularized game's constructor allocates at most one
+    payoff-sized array, and its builder the payoff plus one temporary."""
+    n, fn = case(tmp_path)
+    fn()  # warm-up: numpy's lazy imports are not the program's memory
+    assert _traced_peak(fn) < payoffs * n * n * 8
