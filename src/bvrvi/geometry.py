@@ -59,8 +59,7 @@ class BlockVector:
     number of blocks; reductions (the norms) stay per block.
     The constructor copies several blocks into one new array and keeps a
     single contiguous float64 block as it is, without a copy.
-    The helpers allocate fresh vectors except for the in-place
-    accumulator :meth:`add_scaled_`.  ``block_dims`` is fixed at
+    The helpers allocate fresh vectors.  ``block_dims`` is fixed at
     construction, so treat ``data`` and ``blocks`` as bound for life:
     rebinding either would leave the layout or the views stale.
     """
@@ -115,12 +114,6 @@ class BlockVector:
 
     def copy(self) -> "BlockVector":
         return BlockVector.wrap(self.data.copy(), self.block_dims)
-
-    def add_scaled_(self, other: "BlockVector", coeff: float) -> "BlockVector":
-        """In-place ``self += coeff * other``; returns self."""
-        _check_same_layout(self, other)
-        self.data += coeff * other.data
-        return self
 
     def scaled(self, coeff: float) -> "BlockVector":
         return BlockVector.wrap(coeff * self.data, self.block_dims)
@@ -183,14 +176,6 @@ def _entropy_guard(x: BlockVector, name: str) -> np.ndarray:
     return np.maximum(x.data, DEFAULT_FLOOR)
 
 
-def mirror_map(spec: GeometrySpec, x: BlockVector) -> DualVector:
-    """Gradient of the distance-generating function at x."""
-    check_layout(spec, x, "x")
-    if spec.kind == ENTROPY_SIMPLEX:
-        return BlockVector.wrap(1.0 + np.log(_entropy_guard(x, "x")), x.block_dims)
-    return x.copy()
-
-
 def bregman_divergence(spec: GeometrySpec, x: BlockVector, y: BlockVector) -> float:
     """D(x, y) = f(x) - f(y) - <grad f(y), x - y>.
 
@@ -242,31 +227,39 @@ def fused_inertial_prox(
     check_layout(spec, x_prev, "x_prev")
     check_layout(spec, v, "v")
 
+    # In place, with the operations and their order of the plain expression.
     if spec.kind == ENTROPY_SIMPLEX:
-        cur = _entropy_guard(x_cur, "x_cur")
-        prev = _entropy_guard(x_prev, "x_prev")
         # Log-space combination; the per-block max shift makes the
         # exponentials safe, the per-block sum normalizes each simplex.
-        out = BlockVector.wrap(
-            gamma * np.log(cur) + (1.0 - gamma) * np.log(prev) - alpha * v.data,
-            spec.block_dims)
-        for blk in out.blocks:
-            blk -= np.max(blk)
-        np.exp(out.data, out=out.data)
-        for blk in out.blocks:
-            blk /= np.sum(blk)
-        return out
+        out = _entropy_guard(x_cur, "x_cur")
+        tmp = _entropy_guard(x_prev, "x_prev")
+        np.log(out, out)
+        out *= gamma
+        np.log(tmp, tmp)
+        tmp *= 1.0 - gamma
+    else:
+        out = x_cur.data * gamma
+        tmp = x_prev.data * (1.0 - gamma)
+    out += tmp
+    np.multiply(v.data, alpha, tmp)
+    out -= tmp
 
-    out = BlockVector.wrap(
-        gamma * x_cur.data + (1.0 - gamma) * x_prev.data - alpha * v.data,
-        spec.block_dims)
-    if spec.kind == EUCLIDEAN_BALL:
-        for blk in out.blocks:
+    vec = BlockVector.wrap(out, spec.block_dims)
+    # A single block is the whole array; several are views cached on vec.
+    blocks = vec.blocks if len(spec.block_dims) > 1 else (out,)
+    if spec.kind == ENTROPY_SIMPLEX:
+        for blk in blocks:
+            blk -= blk.max()
+        np.exp(out, out)
+        for blk in blocks:
+            blk /= blk.sum()
+    elif spec.kind == EUCLIDEAN_BALL:
+        for blk in blocks:
             # The 2-norm of a 1-D block, as np.linalg.norm computes it.
             nrm = math.sqrt(blk @ blk)
             if nrm > spec.radius:
                 blk *= spec.radius / nrm
-    return out
+    return vec
 
 
 def primal_norm(spec: GeometrySpec, x: BlockVector) -> float:

@@ -26,9 +26,10 @@ Every run writes one CSV per seed plus an aggregate CSV with the median
 across seeds per logged iteration (seed column -1).  Columns:
 ``iter, component_calls, full_evals, metric_name, metric_value, wall_ms,
 seed``; one row per (iteration, metric); floats in shortest round-trip
-form.  Reruns of an identical config produce byte-identical files (wall
-times are written as 0.0 unless timing is requested).  ``--methods``
-also writes ``<experiment>_compare.csv`` with the final headline rows.
+form (``str``).  Reruns of an identical config produce byte-identical
+files (wall times are written as 0.0 unless timing is requested).
+``--methods`` also writes ``<experiment>_compare.csv`` with the final
+headline rows.
 
 Config sources compose as: built-in defaults, then a flat ``key = value``
 config file, then command line flags.  The effective config is echoed in
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import statistics
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -69,6 +69,8 @@ _STEP_KEYS = (*_ALG1_STEP_KEYS, "tau")
 class ExperimentConfig:
     """Fully resolved experiment description.
 
+    ``n``, ``iters`` and ``batch`` are None until validation fills in the
+    experiment's defaults, so an explicit 0 is never taken for unset.
     ``gamma``, ``p``, ``alpha`` and ``tau`` are None unless set manually;
     a preset (or the fixture) supplies them otherwise.
     """
@@ -76,9 +78,9 @@ class ExperimentConfig:
     experiment: str
     method: str = "alg1"
     methods: tuple[str, ...] = ()
-    n: int = 0
-    iters: int = 0
-    batch: int = 0
+    n: int | None = None
+    iters: int | None = None
+    batch: int | None = None
     seeds: tuple[int, ...] = _DEFAULT_SEEDS
     log_stride: int = 100
     out: str = "runs"
@@ -356,8 +358,9 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
     exp = _EXPERIMENTS.get(config.experiment)
     if exp is None:
         raise UsageError(f"unknown experiment {config.experiment!r}")
-    config = replace(config, n=config.n or exp.n, iters=config.iters or exp.iters,
-                     batch=config.batch or exp.batch)
+    config = replace(config, n=exp.n if config.n is None else config.n,
+                     iters=exp.iters if config.iters is None else config.iters,
+                     batch=exp.batch if config.batch is None else config.batch)
     methods = config.methods or (config.method,)
     for m in methods:
         if m not in METHODS:
@@ -366,12 +369,17 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         raise UsageError("need at least one seed")
     if config.log_stride < 1:
         raise UsageError(f"log_stride must be >= 1, got {config.log_stride}")
-    if config.n < 0 or config.iters < 0 or config.batch < 0:
-        raise UsageError("n, iters and batch must be nonnegative")
+    if config.iters < 0:
+        raise UsageError(f"iters must be >= 0, got {config.iters}")
+    least_batch = min(exp.batch, 1)  # linear-rate's default 0 names the fixture's b
+    if config.batch < least_batch:
+        raise UsageError(f"batch must be >= {least_batch}, got {config.batch}")
     if config.mc_batches < 1:
         raise UsageError(f"mc_batches must be >= 1, got {config.mc_batches}")
     if config.experiment == "linear-rate" and config.n != 8:
         raise UsageError("linear-rate uses the fixed 8-dimensional fixture")
+    if config.experiment != "linear-rate" and config.n < 2:  # the game builders' rule
+        raise UsageError(f"{config.experiment} needs n >= 2, got {config.n}")
     step_flags = [k for k in _STEP_KEYS if getattr(config, k) is not None]
 
     if config.preset:
@@ -456,15 +464,10 @@ def canonical_text(config: ExperimentConfig) -> str:
 # CSV plumbing.
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def _write_csv(path: Path, rows, columns=CSV_COLUMNS) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def trace_rows(trace: RunTrace, seed: int) -> list[tuple]:
@@ -473,31 +476,28 @@ def trace_rows(trace: RunTrace, seed: int) -> list[tuple]:
             for rec in trace.records for name, value in rec.metrics.items()]
 
 
-def _median(values) -> float:
-    vals = list(values)
-    if any(math.isnan(v) for v in vals):
+def _median(values: tuple) -> float:
+    """statistics.median, or nan when any value is nan."""
+    if any(map(math.isnan, values)):
         return math.nan
-    return float(statistics.median(vals))
+    vals = sorted(values)
+    half = len(vals) // 2
+    return float(vals[half] if len(vals) % 2 else (vals[half - 1] + vals[half]) / 2)
 
 
 def aggregate_rows(per_seed_rows: dict[int, list[tuple]]) -> list[tuple]:
-    """Median across seeds for every (iteration, metric) pair, seed = -1."""
-    seeds = sorted(per_seed_rows)
-    keyed: dict[tuple, dict[int, tuple]] = {}
-    for seed in seeds:
-        for row in per_seed_rows[seed]:
-            key = (row[0], row[3])
-            if key not in keyed:
-                keyed[key] = {}
-            keyed[key][seed] = row
+    """Median across seeds for every (iteration, metric) pair, seed = -1;
+    every seed logs the same pairs in the same order."""
+    seed_rows = [per_seed_rows[seed] for seed in sorted(per_seed_rows)]
+    if len({len(rows) for rows in seed_rows}) > 1:
+        raise ParameterError("seeds disagree on the number of logged points")
     out = []
-    for key, group in keyed.items():
-        if len(group) != len(seeds):
-            raise ParameterError(f"seeds disagree on logged point {key}")
-        rows = [group[s] for s in seeds]
-        out.append((key[0], int(_median(r[1] for r in rows)),
-                    int(_median(r[2] for r in rows)), key[1],
-                    _median(r[4] for r in rows), _median(r[5] for r in rows), -1))
+    for rows in zip(*seed_rows):
+        its, calls, fulls, names, values, walls, _ = zip(*rows)
+        if its.count(its[0]) != len(its) or names.count(names[0]) != len(names):
+            raise ParameterError(f"seeds disagree on logged point {(its[0], names[0])}")
+        out.append((its[0], int(_median(calls)), int(_median(fulls)), names[0],
+                    _median(values), _median(walls), -1))
     return out
 
 
@@ -557,10 +557,10 @@ def _header_lines(problem, params, traces: dict[int, RunTrace]) -> list[str]:
     rates = [(st.counters.full_evals - 1) / st.iteration
              for st in (trace.final_state for trace in traces.values()) if st.iteration]
     if rates:
-        lines.append(f"accounting.fresh_full_rate_measured = {_fmt(sum(rates) / len(rates))}")
-        lines.append(f"accounting.fresh_full_rate_memoized = {_fmt(expected)}")
+        lines.append(f"accounting.fresh_full_rate_measured = {sum(rates) / len(rates)}")
+        lines.append(f"accounting.fresh_full_rate_memoized = {expected}")
     nominal = expected * problem.num_components + 2 * params.b
-    lines.append(f"accounting.component_calls_per_iter_nominal = {_fmt(nominal)}")
+    lines.append(f"accounting.component_calls_per_iter_nominal = {nominal}")
     return lines
 
 
@@ -623,8 +623,8 @@ def _variance_check(config: ExperimentConfig, out_dir: Path) -> int:
         ok = mean <= bound + 5.0 * se
         all_pass = all_pass and ok
         print(f"variance-check seed {seed}: "
-              f"{'PASS' if ok else 'FAIL'} ratio={_fmt(ratio)} "
-              f"(empirical={_fmt(mean)}, bound={_fmt(bound)}, se={_fmt(se)})")
+              f"{'PASS' if ok else 'FAIL'} ratio={ratio} "
+              f"(empirical={mean}, bound={bound}, se={se})")
         rows_by_seed[seed] = [(0, 0, 0, f"variance_{name}", float(value), 0.0, seed)
                               for name, value in (("ratio", ratio), ("empirical", mean),
                                                   ("bound", bound))]
@@ -658,11 +658,11 @@ def run_experiment(config: ExperimentConfig) -> int:
         finals[method] = rows[-1]
     if not config.methods:
         final = finals[config.method]
-        print(f"final median {exp.headline} at iter {final[0]}: {_fmt(final[4])}")
+        print(f"final median {exp.headline} at iter {final[0]}: {final[4]}")
         return 0
 
     _write_csv(out_dir / f"{config.experiment}_compare.csv", compare_rows,
                ("method", "seed", *CSV_COLUMNS[:-1]))
     for method, final in finals.items():
-        print(f"median final {exp.headline} [{method}]: {_fmt(final[4])}")
+        print(f"median final {exp.headline} [{method}]: {final[4]}")
     return 0

@@ -31,7 +31,6 @@ from .geometry import (
     GeometrySpec,
     check_layout,
     dual_norm,
-    mirror_map,
 )
 from .operators import FiniteSumProblem, MatrixGameOperator
 from .solver import monotone_step_bound
@@ -61,7 +60,9 @@ def scaled_norm_residual(z: BlockVector, scale_dim: int) -> float:
 def distance_to_solution(problem: FiniteSumProblem, z: BlockVector) -> float:
     if problem.solution is None:
         raise ParameterError("problem has no recorded solution")
-    return float(np.linalg.norm((z - problem.solution).data))
+    check_layout(problem.geometry, z, "z")
+    d = z.data - problem.solution.data
+    return math.sqrt(d @ d)
 
 
 def natural_residual(problem: FiniteSumProblem, state, gamma: float,
@@ -74,7 +75,7 @@ def natural_residual(problem: FiniteSumProblem, state, gamma: float,
     lies in F(x_cur) + normal cone at x_cur, so |u|_* -> 0 certifies
     approach to a solution.  Entropy geometries are refused: their mirror
     map gradient is unbounded and the certificate norm is meaningless
-    there.
+    there; the Euclidean mirror map is the identity, so iterates enter as they are.
     """
     geometry = problem.geometry
     if geometry.kind == ENTROPY_SIMPLEX:
@@ -83,11 +84,9 @@ def natural_residual(problem: FiniteSumProblem, state, gamma: float,
         raise ParameterError("natural residual needs at least one completed step")
     if alpha <= 0.0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    check_layout(geometry, state.delta_last, "delta_last")
-    g_cur = mirror_map(geometry, state.x_cur).data
-    g_prev = mirror_map(geometry, state.x_prev).data
-    g_prev2 = mirror_map(geometry, state.x_prev2).data
-    drift = g_cur - (gamma * g_prev + (1.0 - gamma) * g_prev2)
+    for name in ("delta_last", "x_cur", "x_prev", "x_prev2"):
+        check_layout(geometry, getattr(state, name), name)
+    drift = state.x_cur.data - (gamma * state.x_prev.data + (1.0 - gamma) * state.x_prev2.data)
     u = problem.full(state.x_cur).data - state.delta_last.data - (1.0 / alpha) * drift
     return dual_norm(geometry, BlockVector.wrap(u, geometry.block_dims))
 

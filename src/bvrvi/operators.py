@@ -321,13 +321,16 @@ class AffineStrongOperator(FiniteSumProblem):
 
     def full(self, z: BlockVector) -> DualVector:
         check_layout(self.geometry, z, "z")
-        return BlockVector.wrap(self.h @ z.data + self.q, self.geometry.block_dims)
+        out = self.h @ z.data
+        out += self.q
+        return BlockVector.wrap(out, self.geometry.block_dims)
 
     def component(self, xi, z, dist) -> DualVector:
         i, _, ri, _ = self._check_index(xi, z, dist)
-        scale = 1.0 / (self.n_rows * ri)
-        return BlockVector.wrap(scale * (self._component_mats[i] @ z.data + self.q),
-                     self.geometry.block_dims)
+        out = self._component_mats[i] @ z.data
+        out += self.q
+        out *= 1.0 / (self.n_rows * ri)
+        return BlockVector.wrap(out, self.geometry.block_dims)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ parameters and seed are bit-for-bit reproducible.
 A reflected single-index baseline (``run_vr_forb``) is included for
 comparisons.  Both solvers share one loop (``_drive``) that owns the
 start state, the ergodic average, metric logging and the divergence
-check; each supplies only its one-step update.
+check; each supplies only its one-step update.  Between two logging
+points the steps and the ergodic accumulation run with numpy's overflow
+and invalid-value warnings silenced; metrics still warn.
 """
 
 from __future__ import annotations
@@ -283,7 +285,7 @@ def step(state: SolverState, problem: FiniteSumProblem,
     previous anchor w_prev entry by entry, the sampled difference is zero:
     delta is a copy of the anchor value f_w and the coin is the only draw.
     """
-    if (state.x_cur.data == state.w_prev.data).all():
+    if not np.count_nonzero(state.x_cur.data != state.w_prev.data):
         delta = state.f_w.copy()
     else:
         dist = make_distribution(problem, state.x_cur, state.w_prev)
@@ -295,7 +297,7 @@ def step(state: SolverState, problem: FiniteSumProblem,
     x_next = fused_inertial_prox(problem.geometry, state.x_cur, state.x_prev,
                                  params.gamma, delta, params.alpha)
 
-    if float(state.rng.random()) < params.p:
+    if state.rng.random() < params.p:
         state.anchor_refreshes += 1
         f_w_next = full_eval(problem, x_next, state.counters)
         return _advance(state, x_next, x_next, f_w_next, f_w_next, delta)
@@ -314,7 +316,7 @@ def _vr_forb_step(state: SolverState, problem: FiniteSumProblem,
                             batch, uniform, state.counters)
     x_next = fused_inertial_prox(problem.geometry, state.x_cur, state.x_cur, 1.0,
                                  delta, params.tau)
-    if float(state.rng.random()) < params.p:
+    if state.rng.random() < params.p:
         state.anchor_refreshes += 1
         f_w_next = full_eval(problem, x_next, state.counters)
         return _advance(state, x_next, x_next, f_w_next, f_w_next, delta)
@@ -366,15 +368,17 @@ def _drive(problem: FiniteSumProblem, params: SolverParams | VrForbParams,
     the iterations since the last (finite) logging point; both prox maps
     keep a non-finite iterate non-finite, so checking at the logging
     points misses no divergence and keeps the check off the per-step
-    path.  Each step runs with numpy's overflow and invalid-value warnings
-    silenced: the DivergenceError is the report.  Metrics and the ergodic
-    sum still warn.
+    path.  One window per logging interval silences numpy's overflow and
+    invalid-value warnings over the steps and the ergodic accumulation
+    (the DivergenceError is the report); the metrics still warn.  The sum
+    cannot overflow while iterates on a simplex or ball stay finite: each
+    entry is at most 1 or the radius, so S iterates sum to at most S times that.
     """
     if log_stride < 1:
         raise ParameterError(f"log_stride must be >= 1, got {log_stride}")
     metric_fns = {} if metric_fns is None else metric_fns
     state = init_state(problem, params, start)
-    ergodic_sum = BlockVector.zeros(problem.geometry.block_dims)
+    acc = np.zeros(state.x_cur.data.size)
     records: list[TraceRecord] = []
     t0 = time.perf_counter()
 
@@ -397,18 +401,19 @@ def _drive(problem: FiniteSumProblem, params: SolverParams | VrForbParams,
             wall_ms=wall_ms,
         ))
 
-    log(0, state.x_cur.copy())
-    for s in range(params.iters):
+    ergodic = state.x_cur.copy()
+    log(0, ergodic)
+    done = 0
+    for it in range(log_stride, params.iters + log_stride, log_stride):
+        it = min(it, params.iters)
         with np.errstate(over="ignore", invalid="ignore"):
-            advance(state)
-        ergodic_sum.add_scaled_(state.x_cur, 1.0)
-        it = s + 1
-        if it % log_stride == 0 or it == params.iters:
-            log(it, ergodic_sum.scaled(1.0 / it))
-
-    final_ergodic = (ergodic_sum.scaled(1.0 / params.iters)
-                     if params.iters > 0 else state.x_cur.copy())
-    return RunTrace(records=records, final_state=state, ergodic=final_ergodic)
+            for _ in range(it - done):
+                advance(state)
+                acc += state.x_cur.data
+        done = it
+        ergodic = BlockVector.wrap(acc * (1.0 / it), state.x_cur.block_dims)
+        log(it, ergodic)
+    return RunTrace(records=records, final_state=state, ergodic=ergodic)
 
 
 def run(problem: FiniteSumProblem, params: SolverParams, *,

@@ -2,10 +2,10 @@
 
 Everything here is implemented from the mathematical definitions without
 calling into the code paths under test (except trivially shared
-containers, the full operator and the Bregman divergence, which their
-own frozen-value tests pin), so agreement between the two routes is
-evidence, not tautology.  None of it is on a user path, which is why it
-lives here and not in the package.
+containers, the full operator, the Bregman divergence and the entropy
+guard, which their own frozen-value tests pin), so agreement between the
+two routes is evidence, not tautology.  None of it is on a user path,
+which is why it lives here and not in the package.
 """
 
 from __future__ import annotations
@@ -17,16 +17,29 @@ import numpy as np
 
 from bvrvi.errors import ParameterError
 from bvrvi.geometry import (
+    DEFAULT_FLOOR,
     ENTROPY_SIMPLEX,
     EUCLIDEAN_BALL,
     EUCLIDEAN_FREE,
     BlockVector,
     GeometrySpec,
+    _entropy_guard,
     bregman_divergence,
+    check_layout,
+    dual_norm,
     fused_inertial_prox,
     uniform_start,
 )
 from bvrvi.operators import FiniteSumProblem, OracleSampleDistribution
+
+
+def mirror_map(spec: GeometrySpec, x: BlockVector) -> BlockVector:
+    """Gradient of the distance-generating function at x, read through the
+    prox's own entropy guard (floor and domain check)."""
+    check_layout(spec, x, "x")
+    if spec.kind == ENTROPY_SIMPLEX:
+        return BlockVector.wrap(1.0 + np.log(_entropy_guard(x, "x")), x.block_dims)
+    return x.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -373,3 +386,81 @@ def random_feasible(spec: GeometrySpec, rng: np.random.Generator) -> BlockVector
             out.append(raw)
         return BlockVector(tuple(out))
     return BlockVector(tuple(rng.standard_normal(d) for d in spec.block_dims))
+
+
+# ---------------------------------------------------------------------------
+# Plain-expression references for the in-place hot path.  The package
+# computes each of these in place with the same operations in the same
+# order; tests require equal bits.
+# ---------------------------------------------------------------------------
+
+def reference_prox(spec: GeometrySpec, x_cur: BlockVector, x_prev: BlockVector,
+                   gamma: float, v: BlockVector, alpha: float) -> np.ndarray:
+    """The fused prox as one expression with fresh temporaries, reduced per block."""
+    if spec.kind == ENTROPY_SIMPLEX:
+        cur = np.maximum(x_cur.data, DEFAULT_FLOOR)
+        prev = np.maximum(x_prev.data, DEFAULT_FLOOR)
+        out = BlockVector.wrap(
+            gamma * np.log(cur) + (1.0 - gamma) * np.log(prev) - alpha * v.data,
+            spec.block_dims)
+        for blk in out.blocks:
+            blk -= np.max(blk)
+        np.exp(out.data, out=out.data)
+        for blk in out.blocks:
+            blk /= np.sum(blk)
+        return out.data
+    out = BlockVector.wrap(
+        gamma * x_cur.data + (1.0 - gamma) * x_prev.data - alpha * v.data,
+        spec.block_dims)
+    if spec.kind == EUCLIDEAN_BALL:
+        for blk in out.blocks:
+            nrm = math.sqrt(blk @ blk)
+            if nrm > spec.radius:
+                blk *= spec.radius / nrm
+    return out.data
+
+
+def reference_affine_full(problem, z: BlockVector) -> np.ndarray:
+    return problem.h @ z.data + problem.q
+
+
+def reference_affine_component(problem, i: int, z: BlockVector) -> np.ndarray:
+    scale = 1.0 / (problem.n_rows * float(problem._dist.r[i]))
+    return scale * (problem._component_mats[i] @ z.data + problem.q)
+
+
+def reference_natural_residual(problem, state, gamma: float, alpha: float) -> float:
+    """The certificate with the Euclidean mirror images as explicit copies."""
+    g_cur, g_prev, g_prev2 = (x.data.copy()
+                              for x in (state.x_cur, state.x_prev, state.x_prev2))
+    drift = g_cur - (gamma * g_prev + (1.0 - gamma) * g_prev2)
+    u = problem.full(state.x_cur).data - state.delta_last.data - (1.0 / alpha) * drift
+    return dual_norm(problem.geometry, BlockVector.wrap(u, problem.geometry.block_dims))
+
+
+def reference_distance(problem, z: BlockVector) -> float:
+    return float(np.linalg.norm((z - problem.solution).data))
+
+
+def reference_aggregate_rows(per_seed_rows: dict) -> list[tuple]:
+    """Seed medians keyed by (iteration, metric), through statistics.median."""
+    import statistics
+
+    def median(values):
+        vals = list(values)
+        if any(math.isnan(v) for v in vals):
+            return math.nan
+        return float(statistics.median(vals))
+
+    seeds = sorted(per_seed_rows)
+    keyed: dict = {}
+    for seed in seeds:
+        for row in per_seed_rows[seed]:
+            keyed.setdefault((row[0], row[3]), {})[seed] = row
+    out = []
+    for key, group in keyed.items():
+        rows = [group[s] for s in seeds]
+        out.append((key[0], int(median(r[1] for r in rows)),
+                    int(median(r[2] for r in rows)), key[1],
+                    median(r[4] for r in rows), median(r[5] for r in rows), -1))
+    return out

@@ -75,7 +75,7 @@ def test_criterion_01_estimator_unbiasedness():
                     weight = float(dist.r[xi[0]] * dist.c[xi[1]])
                     if weight == 0.0:
                         continue
-                    acc.add_scaled_(component_eval(problem, xi, z, dist), weight)
+                    acc.data += weight * component_eval(problem, xi, z, dist).data
                 full = problem.full(z)
                 diff = max(float(np.max(np.abs(a - b)))
                            for a, b in zip(acc.blocks, full.blocks))

@@ -7,8 +7,10 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import helpers
 from bvrvi.cli import main
 from bvrvi.errors import ParameterError, PremiseViolationError, UsageError
 from bvrvi.harness import (
@@ -155,6 +157,22 @@ def test_aggregate_rows_median_and_seed_mismatch():
     rows[2].append((5, 2, 1, "m", 1.0, 0.0, 2))
     with pytest.raises(ParameterError):
         aggregate_rows(rows)
+    rows[2] = [(0, 2, 1, "other", 7.0, 0.0, 2)]
+    with pytest.raises(ParameterError):
+        aggregate_rows(rows)
+
+
+@pytest.mark.parametrize("n_seeds", [5, 8])
+def test_aggregate_rows_bits_match_statistics_median(n_seeds):
+    rng = np.random.default_rng(n_seeds)
+    rows = {seed: [(it, int(rng.integers(1, 10**6)), int(rng.integers(1, 99)), name,
+                    math.nan if (it, name) == (0, "b") else float(rng.standard_normal()),
+                    float(rng.random()), seed)
+                   for it in range(0, 50, 5) for name in ("a", "b")]
+            for seed in range(n_seeds)}
+    got = aggregate_rows(rows)
+    want = helpers.reference_aggregate_rows(rows)
+    assert repr(got) == repr(want)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +312,14 @@ def test_exit_code_5_on_divergence(tmp_path, capsys, experiment):
     (["--experiment", "matrix-game", "--method", "vr-forb", "--n", "20", "--tau", "0.01"], 2),
     (["--experiment", "variance-check", "--methods", "alg1,vr-forb"], 2),
     (["--experiment", "matrix-game", "--n", "2"], 3),
+    (["--experiment", "matrix-game", "--n", "1", "--gamma", "0.5", "--p", "0.1",
+      "--alpha", "0.01"], 2),
+    (["--experiment", "variance-check", "--n", "1"], 2),
+    (["--experiment", "nonmonotone-game", "--n", "0"], 2),
+    (["--experiment", "matrix-game", "--batch", "0"], 2),
 ], ids=["alg1-p1-gamma-not-1", "alg1-p1-matrix-game-unstepped", "vr-forb-preset-small-n",
-        "vr-forb-default-p-small-n", "variance-check-methods", "example41-premise-small-n"])
+        "vr-forb-default-p-small-n", "variance-check-methods", "example41-premise-small-n",
+        "game-n-1-manual", "variance-check-n-1", "explicit-n-0", "explicit-batch-0"])
 def test_bad_combination_refused_before_any_output(tmp_path, capsys, argv, code):
     error, prefix = {2: (UsageError, "error:"),
                      3: (PremiseViolationError, "premise violation:")}[code]
@@ -308,6 +332,22 @@ def test_bad_combination_refused_before_any_output(tmp_path, capsys, argv, code)
     assert captured.out == ""
     assert prefix in captured.err
     assert not out.exists()
+
+
+def test_zero_iterations_run_logs_start_only(tmp_path, capsys):
+    """An explicit --iters 0 is a start-only run, not the default 15 000."""
+    argv = ["--experiment", "nonmonotone-game", "--n", "10", "--iters", "0",
+            "--methods", "alg1,alg1-p1", "--seeds", "0,1", "--out", str(tmp_path)]
+    assert parse_config(argv).iters == 0
+    assert main(argv) == 0
+    for method in ("alg1", "alg1-p1"):
+        rows = _read_rows(tmp_path / f"nonmonotone-game_{method}_aggregate.csv")
+        assert {r[0] for r in rows} == {"0"}
+        header = (tmp_path / f"nonmonotone-game_{method}_header.txt").read_text("utf-8")
+        assert "iters = 0\n" in header
+        assert "fresh_full_rate_measured" not in header
+    compare = (tmp_path / "nonmonotone-game_compare.csv").read_text("utf-8")
+    assert len(compare.splitlines()) == 1 + 2 * 3
 
 
 def test_vr_forb_small_n_refusal_names_accepted_flags(tmp_path, capsys):

@@ -310,3 +310,32 @@ def test_linear_rate_envelope_shape():
         math.sqrt(bounds.envelope_coeff * 0.18 / bounds.theta ** 500), rel=1e-12)
     with pytest.raises(ParameterError):
         helpers.linear_rate_envelope(TheoryBounds(), 1.0, [0])
+
+
+@pytest.mark.parametrize("case", ["linear-rate", "nonmonotone-game"])
+def test_residual_and_distance_bits_match_plain_expression(case):
+    """Checked on the states of a run: one block (linear-rate), two blocks
+    (the regularized game, whose solution is the origin)."""
+    if case == "linear-rate":
+        problem, run_params = build_linear_rate_fixture("p-lt-1")
+        params = SolverParams(**{**run_params, "iters": 60})
+        start = None
+    else:
+        problem = build_regularized_game(10)
+        params = preset_example42("alg11", rho=problem.rho, iters=60)
+        start = BlockVector.full(problem.geometry.block_dims, 1.0)
+    pairs = []
+
+    def metric(ctx):
+        if ctx.iteration:
+            pairs.append((
+                natural_residual(problem, ctx.state, params.gamma, params.alpha),
+                helpers.reference_natural_residual(problem, ctx.state, params.gamma,
+                                                   params.alpha)))
+        pairs.append((distance_to_solution(problem, ctx.point),
+                       helpers.reference_distance(problem, ctx.point)))
+        return 0.0
+
+    run(problem, params, start=start, metric_fns={"m": metric}, log_stride=7)
+    assert len(pairs) == 2 * 9 + 1
+    assert [a.hex() for a, _ in pairs] == [b.hex() for _, b in pairs]

@@ -34,7 +34,7 @@ def _weighted_component_sum(problem, z, dist):
             ri, ck = float(dist.r[i]), float(dist.c[k])
             if ri == 0.0 or ck == 0.0:
                 continue
-            acc.add_scaled_(problem.component((i, k), z, dist), ri * ck)
+            acc.data += (ri * ck) * problem.component((i, k), z, dist).data
     return acc
 
 
@@ -265,7 +265,7 @@ def test_estimator_mean_and_variance_bound_monte_carlo():
     for _ in range(trials):
         batch = sample_batch(dist, b, mc)
         delta = estimator_delta(anchor, problem, x, w, batch, dist)
-        total.add_scaled_(delta, 1.0)
+        total.data += delta.data
         noise = dual_norm(geo, delta - exact_diff) ** 2
         sq_sum += noise
         sq_sq += noise * noise
@@ -415,3 +415,16 @@ def test_power_iteration_matches_numpy():
         assert power_iteration_norm(mat) == pytest.approx(
             np.linalg.norm(mat, 2), rel=1e-12)
     assert power_iteration_norm(np.zeros((4, 4))) == 0.0
+
+
+@pytest.mark.parametrize("variant", sorted(LINEAR_RATE_VARIANTS))
+def test_affine_oracle_bits_match_plain_expression(variant):
+    problem, _ = build_linear_rate_fixture(variant)
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        z = helpers.random_feasible(problem.geometry, rng)
+        assert problem.full(z).data.tobytes() == \
+            helpers.reference_affine_full(problem, z).tobytes()
+        i = int(rng.integers(problem.n_rows))
+        got = problem.component((i, 0), z, problem.distribution(z, z))
+        assert got.data.tobytes() == helpers.reference_affine_component(problem, i, z).tobytes()

@@ -1,6 +1,7 @@
 """Main iteration: determinism, randomness order, accounting, presets."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,8 +112,8 @@ def test_step_replicates_documented_randomness_order():
             batch = sample_batch(dist, params.b, rng)
             acc = BlockVector.zeros(geo.block_dims)
             for xi in batch:
-                acc.add_scaled_(problem.component(xi, x_cur, dist), 1.0)
-                acc.add_scaled_(problem.component(xi, w_prev, dist), -1.0)
+                acc.data += problem.component(xi, x_cur, dist).data
+                acc.data -= problem.component(xi, w_prev, dist).data
             delta = f_w + acc.scaled(1.0 / params.b)
         x_next = fused_inertial_prox(geo, x_cur, x_prev, params.gamma, delta,
                                      params.alpha)
@@ -254,13 +255,32 @@ def test_ergodic_average_is_mean_of_produced_iterates():
         all_pts = [pt for _, pt, _, _ in again]
         mean7 = BlockVector.zeros(problem.geometry.block_dims)
         for pt in all_pts[1:]:
-            mean7.add_scaled_(pt, 1.0 / 7.0)
+            mean7.data += (1.0 / 7.0) * pt.data
         assert np.allclose(trace.ergodic.data, mean7.data, rtol=1e-12, atol=1e-15)
         erg3 = {it: e for it, _, _, e in store}[3]
         mean3 = BlockVector.zeros(problem.geometry.block_dims)
         for pt in all_pts[1:4]:
-            mean3.add_scaled_(pt, 1.0 / 3.0)
+            mean3.data += (1.0 / 3.0) * pt.data
         assert np.allclose(erg3.data, mean3.data, rtol=1e-12, atol=1e-15)
+        # Strides that do not divide iters: the multiples of the stride,
+        # then the last iteration; each ergodic point is the running sum of
+        # every produced iterate, scaled once.
+        for iters, stride in ((30, 7), (7, 30)):
+            longer = replace(params, iters=iters)
+            logged, every = [], []
+            trace = solve(problem, longer, metric_fns={"c": _capture_metric(logged)},
+                          log_stride=stride)
+            solve(problem, longer, metric_fns={"c": _capture_metric(every)}, log_stride=1)
+            assert [it for it, _, _, _ in logged] == \
+                sorted({*range(0, iters + 1, stride), iters})
+            acc = np.zeros(every[0][1].data.size)
+            sums = {}
+            for it, pt, _, _ in every[1:]:
+                acc += pt.data
+                sums[it] = acc * (1.0 / it)
+            for it, _, _, erg in logged[1:]:
+                assert erg.data.tobytes() == sums[it].tobytes()
+            assert trace.ergodic.data.tobytes() == sums[iters].tobytes()
 
 
 def test_zero_iteration_run_logs_start_only():
