@@ -245,8 +245,8 @@ def fused_inertial_prox(
     out -= tmp
 
     vec = BlockVector.wrap(out, spec.block_dims)
-    # A single block is the whole array; several are views cached on vec.
-    blocks = vec.blocks if len(spec.block_dims) > 1 else (out,)
+    # Views into out, cached on vec for the callers that read them next.
+    blocks = vec.blocks
     if spec.kind == ENTROPY_SIMPLEX:
         for blk in blocks:
             blk -= blk.max()

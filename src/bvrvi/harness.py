@@ -26,10 +26,9 @@ Every run writes one CSV per seed plus an aggregate CSV with the median
 across seeds per logged iteration (seed column -1).  Columns:
 ``iter, component_calls, full_evals, metric_name, metric_value, wall_ms,
 seed``; one row per (iteration, metric); floats in shortest round-trip
-form (``str``).  Reruns of an identical config produce byte-identical
-files (wall times are written as 0.0 unless timing is requested).
-``--methods`` also writes ``<experiment>_compare.csv`` with the final
-headline rows.
+form.  Reruns of an identical config produce byte-identical files (wall
+times are written as 0.0 unless timing is requested).  ``--methods``
+also writes ``<experiment>_compare.csv`` with the final headline rows.
 
 Config sources compose as: built-in defaults, then a flat ``key = value``
 config file, then command line flags.  The effective config is echoed in
@@ -40,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import statistics
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -69,8 +69,8 @@ _STEP_KEYS = (*_ALG1_STEP_KEYS, "tau")
 class ExperimentConfig:
     """Fully resolved experiment description.
 
-    ``n``, ``iters`` and ``batch`` are None until validation fills in the
-    experiment's defaults, so an explicit 0 is never taken for unset.
+    ``n``, ``iters`` and ``batch`` are None until validation fills in
+    defaults, so an explicit 0 is kept.
     ``gamma``, ``p``, ``alpha`` and ``tau`` are None unless set manually;
     a preset (or the fixture) supplies them otherwise.
     """
@@ -477,12 +477,9 @@ def trace_rows(trace: RunTrace, seed: int) -> list[tuple]:
 
 
 def _median(values: tuple) -> float:
-    """statistics.median, or nan when any value is nan."""
     if any(map(math.isnan, values)):
         return math.nan
-    vals = sorted(values)
-    half = len(vals) // 2
-    return float(vals[half] if len(vals) % 2 else (vals[half - 1] + vals[half]) / 2)
+    return float(statistics.median(values))
 
 
 def aggregate_rows(per_seed_rows: dict[int, list[tuple]]) -> list[tuple]:

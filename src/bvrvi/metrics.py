@@ -75,7 +75,7 @@ def natural_residual(problem: FiniteSumProblem, state, gamma: float,
     lies in F(x_cur) + normal cone at x_cur, so |u|_* -> 0 certifies
     approach to a solution.  Entropy geometries are refused: their mirror
     map gradient is unbounded and the certificate norm is meaningless
-    there; the Euclidean mirror map is the identity, so iterates enter as they are.
+    there; Euclidean iterates are their own mirror images.
     """
     geometry = problem.geometry
     if geometry.kind == ENTROPY_SIMPLEX:

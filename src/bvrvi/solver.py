@@ -369,10 +369,10 @@ def _drive(problem: FiniteSumProblem, params: SolverParams | VrForbParams,
     keep a non-finite iterate non-finite, so checking at the logging
     points misses no divergence and keeps the check off the per-step
     path.  One window per logging interval silences numpy's overflow and
-    invalid-value warnings over the steps and the ergodic accumulation
-    (the DivergenceError is the report); the metrics still warn.  The sum
-    cannot overflow while iterates on a simplex or ball stay finite: each
-    entry is at most 1 or the radius, so S iterates sum to at most S times that.
+    invalid-value warnings over the steps and the ergodic sum (the
+    DivergenceError is the report); metrics still warn.  While simplex or
+    ball iterates stay finite each entry is at most 1 or the radius, so
+    the sum of S iterates cannot overflow.
     """
     if log_stride < 1:
         raise ParameterError(f"log_stride must be >= 1, got {log_stride}")
