@@ -15,14 +15,16 @@ Methods and their flags: ``alg1`` and its gamma = p = 1 variant
 ``alg1-p1`` take ``--preset`` or manual ``--gamma --p --alpha`` (all three;
 1, 1 and any alpha for ``alg1-p1``), else the experiment's default; on
 ``linear-rate`` that is the fixture, whose b manual stepping keeps unless
-``--batch`` is given.  ``vr-forb`` takes ``--tau`` and an optional ``--p``,
-else its preset; both defaults of p need n >= 67.  ``_EXPERIMENTS`` and
+``--batch`` is given.  ``vr-forb`` (``solver.VR_FORB``) takes ``--tau`` and
+an optional ``--p``, else its preset; both defaults of p need n >= 67, and
+with vr-forb among the methods ``--p`` needs ``--tau``.  ``_EXPERIMENTS`` and
 ``_PRESETS`` say what each experiment and preset accepts, and
 ``parse_config`` checks every combination against them: every refusal of
 the input (exit 2), and of a preset whose premise the config already
 breaks (exit 3), happens before anything is printed or written.
 
-Every run writes one CSV per seed plus an aggregate CSV with the median
+Each problem is built once per run and shared by the methods that run on
+it.  Every run writes one CSV per seed plus an aggregate CSV with the median
 across seeds per logged iteration (seed column -1).  Columns:
 ``iter, component_calls, full_evals, metric_name, metric_value, wall_ms,
 seed``; one row per (iteration, metric); floats in shortest round-trip
@@ -47,14 +49,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import metrics as metrics_mod
-from .errors import ParameterError, UsageError
+from .errors import DomainError, ParameterError, UsageError
 from .geometry import BlockVector, dual_norm, primal_norm
 from .operators import (LINEAR_RATE_VARIANTS, FiniteSumProblem, build_linear_rate_fixture,
                         build_matrix_game, build_regularized_game, estimator_delta,
                         make_distribution, sample_batch)
-from .solver import (RunTrace, SolverParams, VrForbParams, check_sqrt_premise,
+from .solver import (VR_FORB, RunTrace, SolverParams, check_sqrt_premise,
                      preset_corollary31, preset_example41, preset_example42,
-                     preset_vr_forb, run, run_vr_forb, vr_forb_p)
+                     preset_vr_forb, run, vr_forb_p)
 
 METHODS = ("alg1", "alg1-p1", "vr-forb")
 CSV_COLUMNS = ("iter", "component_calls", "full_evals", "metric_name",
@@ -138,11 +140,11 @@ def _variant(method: str) -> str:
     return "p-eq-1" if method == "alg1-p1" else "p-lt-1"
 
 
-def _manual_params(config: ExperimentConfig, method: str):
+def _manual_params(config: ExperimentConfig, method: str) -> SolverParams:
     """Parameters from the step flags; they need no problem to build."""
     if method == "vr-forb":
         p = config.p if config.p is not None else vr_forb_p(config.n)
-        return VrForbParams(tau=config.tau, p=p, iters=config.iters)
+        return SolverParams(**VR_FORB, p=p, alpha=config.tau, iters=config.iters)
     if method == "alg1-p1" and (config.gamma, config.p) != (1, 1):
         raise ParameterError(f"gamma = p = 1 is fixed, got gamma={config.gamma}, "
                              f"p={config.p}")
@@ -417,8 +419,9 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         )
     if not alg1_family and (config.gamma is not None or config.alpha is not None):
         raise UsageError("vr-forb takes --tau and an optional --p, not --gamma or --alpha")
-    if not alg1_family and config.p is not None and config.tau is None:
-        raise UsageError("vr-forb's --p needs --tau")
+    if "vr-forb" in methods and config.p is not None and config.tau is None:
+        raise UsageError("vr-forb's --p needs --tau; with vr-forb among the methods "
+                         "--p sets the p of every method")
     if config.tau is not None and "vr-forb" not in methods:
         raise UsageError("--tau applies to the vr-forb method only")
 
@@ -532,14 +535,12 @@ def _run_seeds(fn, seeds) -> dict[int, object]:
 # ---------------------------------------------------------------------------
 
 def _header_lines(problem, params, traces: dict[int, RunTrace]) -> list[str]:
-    if isinstance(params, VrForbParams):
-        return [f"params.tau = {params.tau!r}", f"params.p = {params.p!r}"]
     lines = [f"params.gamma = {params.gamma!r}", f"params.p = {params.p!r}",
              f"params.alpha = {params.alpha!r}", f"params.b = {params.b}",
              f"params.preset = {params.preset}"]
     try:
         bounds = metrics_mod.theory_bounds(params, problem)
-    except Exception as exc:  # refusals (no rho/beta, entropy mirror map)
+    except (ParameterError, DomainError) as exc:  # no rho/beta, entropy map, vr-forb
         lines.append(f"theory.unavailable = {exc}")
     else:
         for field_name in ("ergodic_coeff", "sigma1", "sigma2", "residual_coeff",
@@ -550,7 +551,7 @@ def _header_lines(problem, params, traces: dict[int, RunTrace]) -> list[str]:
                 lines.append(f"theory.{field_name} = {value!r}")
         lines += [f"theory.premise_violated = {failure}" for failure in bounds.failures]
 
-    expected = params.p + (1.0 - params.p) ** 2
+    expected = params.p if params.anchor == "sticky" else params.p + (1.0 - params.p) ** 2
     rates = [(st.counters.full_evals - 1) / st.iteration
              for st in (trace.final_state for trace in traces.values()) if st.iteration]
     if rates:
@@ -561,15 +562,14 @@ def _header_lines(problem, params, traces: dict[int, RunTrace]) -> list[str]:
     return lines
 
 
-def _run_method(config: ExperimentConfig, method: str, out_dir: Path):
-    problem, start, metric_fns = _EXPERIMENTS[config.experiment].build(config, method)
+def _run_method(config: ExperimentConfig, method: str, out_dir: Path,
+                problem: FiniteSumProblem, start, metric_fns):
     params = _params(config, method, problem)
 
     def one_seed(seed: int) -> RunTrace:
-        solve = run_vr_forb if method == "vr-forb" else run
-        return solve(problem, replace(params, seed=seed), start=start,
-                     metric_fns=metric_fns, log_stride=config.log_stride,
-                     timing=config.timing)
+        return run(problem, replace(params, seed=seed), start=start,
+                   metric_fns=metric_fns, log_stride=config.log_stride,
+                   timing=config.timing)
 
     traces = _run_seeds(one_seed, config.seeds)
     per_seed_rows = {seed: trace_rows(traces[seed], seed) for seed in config.seeds}
@@ -647,8 +647,13 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     compare_rows = []
     finals = {}
+    built = {}
     for method in config.methods or (config.method,):
-        per_seed_rows, agg = _run_method(config, method, out_dir)
+        # The games do not depend on the method; linear-rate has a fixture per variant.
+        key = _variant(method) if config.experiment == "linear-rate" else None
+        if key not in built:
+            built[key] = exp.build(config, method)
+        per_seed_rows, agg = _run_method(config, method, out_dir, *built[key])
         rows = [_final_row(per_seed_rows[seed], exp.headline) for seed in config.seeds]
         rows.append(_final_row(agg, exp.headline))
         compare_rows += [(method, row[6], *row[:6]) for row in rows]

@@ -151,8 +151,12 @@ def theory_bounds(params, problem: FiniteSumProblem) -> TheoryBounds:
     The regimes are the ones matching the problem tag and the anchor
     probability (the ``-p1`` regimes exactly when p = 1).  Premise
     violations are returned in ``failures`` alongside any constants that
-    could still be computed.
+    could still be computed.  The sticky anchor and uniform sampling
+    (vr-forb's settings) are refused: no guarantee here covers them.
     """
+    if params.anchor != "fallback" or params.uniform:
+        raise ParameterError("the guarantees cover the fallback anchor rule with the "
+                             "problem's sampling distribution only")
     geometry = problem.geometry
     gamma, p, alpha, b = params.gamma, params.p, params.alpha, params.b
     lip, lip_bar = problem.lip, problem.lip_bar

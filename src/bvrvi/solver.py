@@ -1,4 +1,4 @@
-"""Single-loop variance-reduced Bregman solvers for finite-sum VIs.
+"""Single-loop variance-reduced Bregman solver for finite-sum VIs.
 
 The main iteration keeps two primal iterates (current and previous), a
 randomized anchor w with its cached full operator value, and produces
@@ -8,11 +8,12 @@ randomized anchor w with its cached full operator value, and produces
 
 where delta is the variance-reduced direction built from the anchor and a
 minibatch of component differences.  After the step the anchor moves to
-x_next with probability p and otherwise falls back to the current iterate
-x_cur.  Only F(x_cur) is memoized, and only when x_cur is the start or
-the anchor of a refresh step, so a fallback right after a refresh reuses
-it and any other fallback evaluates F(x_cur) afresh.  With anchor
-probability p the long-run fresh-evaluation rate is p + (1 - p)^2.
+x_next with probability p.  Otherwise the ``fallback`` rule moves it to
+the current iterate x_cur; only F(x_cur) is memoized, and only when x_cur
+is the start or the anchor of a refresh step, so a fallback right after
+a refresh reuses it and any other fallback evaluates F(x_cur) afresh,
+for a long-run fresh-evaluation rate of p + (1 - p)^2.  The ``sticky``
+rule keeps the anchor where it is, so only heads evaluate (rate p).
 
 Per-iteration randomness is consumed in a fixed order: sampling
 distribution (no draws), then the component batch (2*b uniforms), then
@@ -22,12 +23,10 @@ sampled difference: delta is the anchor value, no distribution or batch
 is built, and only the anchor coin is drawn.  Runs with equal
 parameters and seed are bit-for-bit reproducible.
 
-A reflected single-index baseline (``run_vr_forb``) is included for
-comparisons.  Both solvers share one loop (``_drive``) that owns the
-start state, the ergodic average, metric logging and the divergence
-check; each supplies only its one-step update.  Between two logging
-points the steps and the ergodic accumulation run with numpy's overflow
-and invalid-value warnings silenced; metrics still warn.
+The variance-reduced forward-reflected-backward baseline (vr-forb) is
+this same step with the settings ``VR_FORB``: gamma = 1 (no inertial
+mixing), b = 1, alpha = tau, the sticky anchor and uniform single-index
+sampling.  ``run`` is the one loop for every method.
 """
 
 from __future__ import annotations
@@ -57,12 +56,15 @@ from .operators import (
     sample_batch,
 )
 
-PRESET_TAGS = ("manual", "corollary31", "example41", "example42-alg11", "example42-alg12")
+PRESET_TAGS = ("manual", "corollary31", "example41", "example42-alg11", "example42-alg12",
+               "vr-forb")
+ANCHOR_RULES = ("fallback", "sticky")
 
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Step-size and sampling parameters of the main iteration."""
+    """Step-size and sampling parameters of the main iteration; ``anchor``
+    and ``uniform`` leave their defaults only in ``VR_FORB``."""
 
     gamma: float
     p: float
@@ -71,6 +73,8 @@ class SolverParams:
     iters: int
     seed: int = 0
     preset: str = "manual"
+    anchor: str = "fallback"
+    uniform: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
@@ -85,6 +89,8 @@ class SolverParams:
             raise ParameterError(f"iters must be >= 0, got {self.iters}")
         if self.preset not in PRESET_TAGS:
             raise ParameterError(f"unknown preset tag {self.preset!r}; expected {PRESET_TAGS}")
+        if self.anchor not in ANCHOR_RULES:
+            raise ParameterError(f"unknown anchor rule {self.anchor!r}; expected {ANCHOR_RULES}")
 
 
 def monotone_step_bound(gamma: float, p: float, b: int, lip: float, lip_bar: float) -> float:
@@ -180,26 +186,8 @@ def check_alpha_bound(params: SolverParams, lip: float, lip_bar: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class VrForbParams:
-    """Parameters of the reflected single-index baseline."""
-
-    tau: float
-    p: float
-    iters: int
-    seed: int = 0
-
-    # Its step is the main prox without inertial mixing: gamma = 1, alpha = tau.
-    gamma = 1.0
-    alpha = property(lambda self: self.tau)
-
-    def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ParameterError(f"tau must be positive, got {self.tau}")
-        if not (0.0 < self.p <= 1.0):
-            raise ParameterError(f"p must lie in (0, 1], got {self.p}")
-        if self.iters < 0:
-            raise ParameterError(f"iters must be >= 0, got {self.iters}")
+#: The vr-forb baseline's fixed settings; its step size tau is alpha.
+VR_FORB = {"gamma": 1.0, "b": 1, "anchor": "sticky", "uniform": True}
 
 
 def vr_forb_p(n: int) -> float:
@@ -214,11 +202,11 @@ def vr_forb_p(n: int) -> float:
     return p
 
 
-def preset_vr_forb(n: int, lip: float, iters: int, seed: int = 0) -> VrForbParams:
+def preset_vr_forb(n: int, lip: float, iters: int, seed: int = 0) -> SolverParams:
     """Baseline preset: p = vr_forb_p(n), tau = (1 - sqrt(1 - p)) / (3 L^2)."""
     p = vr_forb_p(n)
     tau = (1.0 - math.sqrt(1.0 - p)) / (3.0 * lip * lip)
-    return VrForbParams(tau=tau, p=p, iters=iters, seed=seed)
+    return SolverParams(**VR_FORB, p=p, alpha=tau, iters=iters, seed=seed, preset="vr-forb")
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +220,8 @@ class SolverState:
     ``memo_cur`` caches the full operator value at ``x_cur`` when known
     (None otherwise).  ``x_prev2`` holds the pre-step previous iterate
     and ``delta_last`` the last direction, both needed by residual
-    diagnostics.
+    diagnostics.  ``uniform_dist`` is the fixed sampling distribution of a
+    uniform run (None otherwise).
     """
 
     x_cur: BlockVector
@@ -245,22 +234,26 @@ class SolverState:
     memo_cur: DualVector | None = None
     x_prev2: BlockVector | None = None
     delta_last: DualVector | None = None
+    uniform_dist: OracleSampleDistribution | None = None
     iteration: int = 0
     sampled_iterations: int = 0
     anchor_refreshes: int = 0
 
 
-def init_state(problem: FiniteSumProblem, params: SolverParams | VrForbParams,
+def init_state(problem: FiniteSumProblem, params: SolverParams,
                start: BlockVector | None = None) -> SolverState:
     """All iterates and anchors start at the same point; one full evaluation."""
     x0 = uniform_start(problem.geometry) if start is None else start.copy()
     check_layout(problem.geometry, x0, "start")
     counters = OracleCounters()
     f0 = full_eval(problem, x0, counters)
+    uniform = (OracleSampleDistribution(r=np.full(problem.n_rows, 1.0 / problem.n_rows),
+                                        c=np.full(problem.n_cols, 1.0 / problem.n_cols))
+               if params.uniform else None)
     return SolverState(
         x_cur=x0, x_prev=x0.copy(), w_cur=x0.copy(), w_prev=x0.copy(),
         f_w=f0, rng=np.random.default_rng(params.seed), counters=counters,
-        memo_cur=f0,
+        memo_cur=f0, uniform_dist=uniform,
     )
 
 
@@ -288,7 +281,7 @@ def step(state: SolverState, problem: FiniteSumProblem,
     if not np.count_nonzero(state.x_cur.data != state.w_prev.data):
         delta = state.f_w.copy()
     else:
-        dist = make_distribution(problem, state.x_cur, state.w_prev)
+        dist = state.uniform_dist or make_distribution(problem, state.x_cur, state.w_prev)
         batch = sample_batch(dist, params.b, state.rng)
         state.sampled_iterations += 1
         delta = estimator_delta(state.f_w, problem, state.x_cur, state.w_prev,
@@ -301,26 +294,11 @@ def step(state: SolverState, problem: FiniteSumProblem,
         state.anchor_refreshes += 1
         f_w_next = full_eval(problem, x_next, state.counters)
         return _advance(state, x_next, x_next, f_w_next, f_w_next, delta)
+    if params.anchor == "sticky":
+        return _advance(state, x_next, state.w_cur, state.f_w, None, delta)
     if state.memo_cur is None:
         state.memo_cur = full_eval(problem, state.x_cur, state.counters)
     return _advance(state, x_next, state.x_cur, state.memo_cur, None, delta)
-
-
-def _vr_forb_step(state: SolverState, problem: FiniteSumProblem,
-                  params: VrForbParams,
-                  uniform: OracleSampleDistribution) -> SolverState:
-    """One reflected step with a single uniform index and a sticky anchor."""
-    batch = sample_batch(uniform, 1, state.rng)
-    state.sampled_iterations += 1
-    delta = estimator_delta(state.f_w, problem, state.x_cur, state.w_prev,
-                            batch, uniform, state.counters)
-    x_next = fused_inertial_prox(problem.geometry, state.x_cur, state.x_cur, 1.0,
-                                 delta, params.tau)
-    if state.rng.random() < params.p:
-        state.anchor_refreshes += 1
-        f_w_next = full_eval(problem, x_next, state.counters)
-        return _advance(state, x_next, x_next, f_w_next, f_w_next, delta)
-    return _advance(state, x_next, state.w_cur, state.f_w, None, delta)
 
 
 @dataclass
@@ -347,18 +325,19 @@ class MetricContext:
     """Everything a metric callable may need at a logging point."""
 
     problem: FiniteSumProblem
-    params: object
+    params: SolverParams
     state: SolverState
     point: BlockVector
     ergodic: BlockVector
     iteration: int
 
 
-def _drive(problem: FiniteSumProblem, params: SolverParams | VrForbParams,
-           start: BlockVector | None, advance, metric_fns: dict | None,
-           log_stride: int, timing: bool) -> RunTrace:
-    """Shared loop: ``advance(state)`` once per iteration, logging every
-    ``log_stride`` steps.
+def run(problem: FiniteSumProblem, params: SolverParams, *,
+        start: BlockVector | None = None,
+        metric_fns: dict | None = None,
+        log_stride: int = 100,
+        timing: bool = False) -> RunTrace:
+    """Run ``params.iters`` steps, logging every ``log_stride`` steps.
 
     Iteration 0 (the common start) is always logged, as is the final
     iteration.  The ergodic point is the running average of the iterates
@@ -376,6 +355,10 @@ def _drive(problem: FiniteSumProblem, params: SolverParams | VrForbParams,
     """
     if log_stride < 1:
         raise ParameterError(f"log_stride must be >= 1, got {log_stride}")
+    # The step bound belongs to the monotone ergodic guarantee; other
+    # regimes use deliberately larger steps, so no warning there.
+    if problem.tag == "monotone":
+        check_alpha_bound(params, problem.lip, problem.lip_bar)
     metric_fns = {} if metric_fns is None else metric_fns
     state = init_state(problem, params, start)
     acc = np.zeros(state.x_cur.data.size)
@@ -408,50 +391,10 @@ def _drive(problem: FiniteSumProblem, params: SolverParams | VrForbParams,
         it = min(it, params.iters)
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(it - done):
-                advance(state)
+                step(state, problem, params)
                 acc += state.x_cur.data
         done = it
         ergodic = BlockVector.wrap(acc * (1.0 / it), state.x_cur.block_dims)
         log(it, ergodic)
     return RunTrace(records=records, final_state=state, ergodic=ergodic)
-
-
-def run(problem: FiniteSumProblem, params: SolverParams, *,
-        start: BlockVector | None = None,
-        metric_fns: dict | None = None,
-        log_stride: int = 100,
-        timing: bool = False) -> RunTrace:
-    """Run the main iteration through the shared loop (see ``_drive``)."""
-    # The step bound belongs to the monotone ergodic guarantee; other
-    # regimes use deliberately larger steps, so no warning there.
-    if problem.tag == "monotone":
-        check_alpha_bound(params, problem.lip, problem.lip_bar)
-    return _drive(problem, params, start, lambda st: step(st, problem, params),
-                  metric_fns, log_stride, timing)
-
-
-# ---------------------------------------------------------------------------
-# Reflected single-index baseline.
-# ---------------------------------------------------------------------------
-
-def run_vr_forb(problem: FiniteSumProblem, params: VrForbParams, *,
-                start: BlockVector | None = None,
-                metric_fns: dict | None = None,
-                log_stride: int = 100,
-                timing: bool = False) -> RunTrace:
-    """Forward-reflected-backward iteration with a sticky random anchor.
-
-    Direction F(w_s) + F_i(x_s) - F_i(w_prev) with a single uniformly
-    drawn component index; the anchor moves to x_next with probability p
-    and otherwise stays at w_s (it does not fall back to x_s).  Prox
-    steps are plain (no inertial mixing), with step size tau.  Every
-    step draws its index, the first one included.
-    """
-    uniform = OracleSampleDistribution(
-        r=np.full(problem.n_rows, 1.0 / problem.n_rows),
-        c=np.full(problem.n_cols, 1.0 / problem.n_cols),
-    )
-    return _drive(problem, params, start,
-                  lambda st: _vr_forb_step(st, problem, params, uniform),
-                  metric_fns, log_stride, timing)
 

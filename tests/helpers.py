@@ -30,7 +30,7 @@ from bvrvi.geometry import (
     fused_inertial_prox,
     uniform_start,
 )
-from bvrvi.operators import FiniteSumProblem, OracleSampleDistribution
+from bvrvi.operators import FiniteSumProblem, OracleSampleDistribution, sample_batch
 
 
 def mirror_map(spec: GeometrySpec, x: BlockVector) -> BlockVector:
@@ -326,6 +326,44 @@ def reflected_reference(full_fn, spec: GeometrySpec, x0: BlockVector,
         x_prev, x = x, x_next
         traj.append(x_next)
     return traj
+
+
+def vr_forb_reference(problem: FiniteSumProblem, tau: float, p: float, iters: int,
+                      seed: int, start: BlockVector | None = None):
+    """The reflected single-index loop of the vr-forb baseline, written out.
+
+    Direction F(w_s) + F_i(x_s) - F_i(w_{s-1}) with one uniformly drawn
+    index (row draw, then column draw), a plain prox step of size tau,
+    then a coin: heads moves the anchor to x_{s+1}, tails keeps it.  A
+    step whose iterate equals the previous anchor draws no index, since
+    its sampled difference is zero.  It shares the sampler and the prox
+    with the package so that agreement is bit for bit.  Returns the
+    iterates x_1..x_iters, the anchors after each step, the full
+    evaluations and the sampled steps.
+    """
+    geo = problem.geometry
+    uniform = OracleSampleDistribution(r=np.full(problem.n_rows, 1.0 / problem.n_rows),
+                                       c=np.full(problem.n_cols, 1.0 / problem.n_cols))
+    rng = np.random.default_rng(seed)
+    x = uniform_start(geo) if start is None else start.copy()
+    w_prev = w = x
+    f_w = problem.full(x)
+    iterates, anchors, full_evals, sampled = [], [], 1, 0
+    for _ in range(iters):
+        delta = f_w.copy()
+        if not np.array_equal(x.data, w_prev.data):
+            (xi,) = sample_batch(uniform, 1, rng)
+            sampled += 1
+            delta.data += (problem.component(xi, x, uniform).data
+                           - problem.component(xi, w_prev, uniform).data)
+        x = fused_inertial_prox(geo, x, x, 1.0, delta, tau)
+        w_prev = w
+        if rng.random() < p:
+            w, f_w = x, problem.full(x)
+            full_evals += 1
+        iterates.append(x)
+        anchors.append(w)
+    return iterates, anchors, full_evals, sampled
 
 
 def extragradient_solve(problem: FiniteSumProblem, tol: float = 1e-12) -> BlockVector:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import helpers
+from bvrvi import harness
 from bvrvi.cli import main
 from bvrvi.errors import ParameterError, PremiseViolationError, UsageError
 from bvrvi.harness import (
@@ -311,6 +312,8 @@ def test_exit_code_5_on_divergence(tmp_path, capsys, experiment):
     (["--experiment", "nonmonotone-game", "--method", "vr-forb", "--n", "20"], 2),
     (["--experiment", "matrix-game", "--method", "vr-forb", "--n", "20", "--tau", "0.01"], 2),
     (["--experiment", "variance-check", "--methods", "alg1,vr-forb"], 2),
+    (["--experiment", "matrix-game", "--n", "70", "--gamma", "0.5", "--p", "0.1",
+      "--alpha", "0.01", "--methods", "alg1,vr-forb"], 2),
     (["--experiment", "matrix-game", "--n", "2"], 3),
     (["--experiment", "matrix-game", "--n", "1", "--gamma", "0.5", "--p", "0.1",
       "--alpha", "0.01"], 2),
@@ -318,7 +321,8 @@ def test_exit_code_5_on_divergence(tmp_path, capsys, experiment):
     (["--experiment", "nonmonotone-game", "--n", "0"], 2),
     (["--experiment", "matrix-game", "--batch", "0"], 2),
 ], ids=["alg1-p1-gamma-not-1", "alg1-p1-matrix-game-unstepped", "vr-forb-preset-small-n",
-        "vr-forb-default-p-small-n", "variance-check-methods", "example41-premise-small-n",
+        "vr-forb-default-p-small-n", "variance-check-methods", "vr-forb-p-without-tau-mixed",
+        "example41-premise-small-n",
         "game-n-1-manual", "variance-check-n-1", "explicit-n-0", "explicit-batch-0"])
 def test_bad_combination_refused_before_any_output(tmp_path, capsys, argv, code):
     error, prefix = {2: (UsageError, "error:"),
@@ -367,7 +371,11 @@ def test_vr_forb_takes_tau_and_optional_p(tmp_path, capsys):
     assert parse_config(argv).p == 0.2
     assert main(argv) == 0
     header = (tmp_path / "matrix-game_vr-forb_header.txt").read_text("utf-8")
-    assert "params.tau = 0.01\nparams.p = 0.2\n" in header
+    assert ("params.gamma = 1.0\nparams.p = 0.2\nparams.alpha = 0.01\nparams.b = 1\n"
+            "params.preset = manual\n") in header
+    # No guarantee covers the sticky anchor; only heads evaluate afresh.
+    assert "theory.unavailable = " in header and "theory.ergodic_coeff" not in header
+    assert "accounting.fresh_full_rate_memoized = 0.2\n" in header
 
 
 @pytest.mark.parametrize("extra", [["--gamma", "0.3", "--alpha", "7"],
@@ -379,6 +387,25 @@ def test_vr_forb_alone_refuses_gamma_and_alpha(tmp_path, capsys, extra):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "vr-forb takes --tau and an optional --p" in captured.err
+
+
+@pytest.mark.parametrize("build_fn, argv, builds", [
+    ("build_matrix_game", ["--experiment", "matrix-game", "--methods", "alg1,vr-forb",
+                           "--n", "8", "--gamma", "0.5", "--p", "0.5", "--alpha", "0.01",
+                           "--tau", "0.01"], 1),
+    ("build_regularized_game", ["--experiment", "nonmonotone-game", "--n", "70",
+                                "--methods", "alg1,alg1-p1,vr-forb", "--tau", "0.01"], 1),
+    ("build_linear_rate_fixture", ["--experiment", "linear-rate",
+                                   "--methods", "alg1,alg1-p1"], 2),
+], ids=["matrix-game", "nonmonotone-game", "linear-rate"])
+def test_each_problem_built_once_per_run(tmp_path, capsys, monkeypatch, build_fn, argv,
+                                         builds):
+    """The games do not depend on the method; linear-rate has one fixture per variant."""
+    calls = []
+    original = getattr(harness, build_fn)
+    monkeypatch.setattr(harness, build_fn, lambda *a, **k: calls.append(a) or original(*a, **k))
+    assert main([*argv, "--iters", "10", "--seeds", "0,1", "--out", str(tmp_path)]) == 0
+    assert len(calls) == builds
 
 
 def test_linear_rate_manual_stepping_keeps_fixture_batch(tmp_path, capsys):

@@ -24,8 +24,8 @@ from bvrvi.operators import (
     sample_batch,
 )
 from bvrvi.solver import (
+    VR_FORB,
     SolverParams,
-    VrForbParams,
     check_alpha_bound,
     init_state,
     monotone_step_bound,
@@ -34,7 +34,6 @@ from bvrvi.solver import (
     preset_example42,
     preset_vr_forb,
     run,
-    run_vr_forb,
 )
 
 
@@ -211,12 +210,39 @@ def test_all_tails_anchor_falls_back_to_current_iterate():
 
 def test_vr_forb_anchor_sticks_instead_of_falling_back():
     problem = build_matrix_game(4, 11)
-    params = VrForbParams(tau=0.02, p=1e-12, iters=8, seed=3)
-    trace = run_vr_forb(problem, params, log_stride=8)
+    params = SolverParams(**VR_FORB, p=1e-12, alpha=0.02, iters=8, seed=3)
+    trace = run(problem, params, log_stride=8)
     state = trace.final_state
     assert np.array_equal(state.w_cur.data, uniform_start(problem.geometry).data)
     assert state.counters.full_evals == 1
-    assert state.counters.component_calls == 1 * problem.num_components + 2 * 8
+    # The first step draws nothing (x_0 = w_{-1}); each later one draws one index.
+    assert state.sampled_iterations == 7
+    assert state.counters.component_calls == 1 * problem.num_components + 2 * 7
+
+
+@pytest.mark.parametrize("build, n, start_value", [(build_matrix_game, 5, None),
+                                                   (build_regularized_game, 6, 1.0)])
+def test_vr_forb_params_reproduce_reference_loop(build, n, start_value):
+    """The main step with the vr-forb settings is the reflected
+    single-index loop, bit for bit, on both games."""
+    problem = build(n)
+    start = (None if start_value is None
+             else BlockVector.full(problem.geometry.block_dims, start_value))
+    iters = 50
+    for seed, p in ((0, 0.3), (7, 0.8)):
+        params = SolverParams(**VR_FORB, p=p, alpha=0.05, iters=iters, seed=seed)
+        store = []
+        trace = run(problem, params, start=start, metric_fns={"c": _capture_metric(store)},
+                    log_stride=1)
+        iterates, anchors, full_evals, sampled = helpers.vr_forb_reference(
+            problem, 0.05, p, iters, seed, start)
+        for (it, pt, w, _), x_ref, w_ref in zip(store[1:], iterates, anchors, strict=True):
+            assert pt.data.tobytes() == x_ref.data.tobytes(), it
+            assert w.data.tobytes() == w_ref.data.tobytes(), it
+        state = trace.final_state
+        assert 0 < state.anchor_refreshes < iters
+        assert (state.counters.full_evals, state.sampled_iterations) == (full_evals, sampled)
+        assert sampled == iters - 1
 
 
 # ---------------------------------------------------------------------------
@@ -237,21 +263,20 @@ def test_iterates_become_feasible_after_one_step():
 
 
 def test_ergodic_average_is_mean_of_produced_iterates():
-    """Both solvers share one loop: logging points, ergodic mean
-    and log_stride validation behave the same."""
+    """alg1 and vr-forb settings run through one loop: logging points,
+    ergodic mean and log_stride validation behave the same."""
     problem = build_matrix_game(4, 5)
-    for solve, params in (
-            (run, SolverParams(gamma=0.5, p=0.3, alpha=0.02, b=1, iters=7, seed=1)),
-            (run_vr_forb, VrForbParams(tau=0.02, p=0.3, iters=7, seed=1))):
+    for params in (SolverParams(gamma=0.5, p=0.3, alpha=0.02, b=1, iters=7, seed=1),
+                   SolverParams(**VR_FORB, p=0.3, alpha=0.02, iters=7, seed=1)):
         with pytest.raises(ParameterError, match="log_stride"):
-            solve(problem, params, log_stride=0)
+            run(problem, params, log_stride=0)
         store = []
-        trace = solve(problem, params, metric_fns={"c": _capture_metric(store)},
-                      log_stride=3)
+        trace = run(problem, params, metric_fns={"c": _capture_metric(store)},
+                    log_stride=3)
         pts = {it: pt for it, pt, _, _ in store}
         assert sorted(pts) == [0, 3, 6, 7]
         again = []
-        solve(problem, params, metric_fns={"c": _capture_metric(again)}, log_stride=1)
+        run(problem, params, metric_fns={"c": _capture_metric(again)}, log_stride=1)
         all_pts = [pt for _, pt, _, _ in again]
         mean7 = BlockVector.zeros(problem.geometry.block_dims)
         for pt in all_pts[1:]:
@@ -268,9 +293,9 @@ def test_ergodic_average_is_mean_of_produced_iterates():
         for iters, stride in ((30, 7), (7, 30)):
             longer = replace(params, iters=iters)
             logged, every = [], []
-            trace = solve(problem, longer, metric_fns={"c": _capture_metric(logged)},
-                          log_stride=stride)
-            solve(problem, longer, metric_fns={"c": _capture_metric(every)}, log_stride=1)
+            trace = run(problem, longer, metric_fns={"c": _capture_metric(logged)},
+                        log_stride=stride)
+            run(problem, longer, metric_fns={"c": _capture_metric(every)}, log_stride=1)
             assert [it for it, _, _, _ in logged] == \
                 sorted({*range(0, iters + 1, stride), iters})
             acc = np.zeros(every[0][1].data.size)
@@ -318,12 +343,14 @@ def test_solver_params_validation():
     SolverParams(**good)
     for bad in (dict(gamma=0.0), dict(gamma=1.5), dict(p=0.0), dict(p=1.1),
                 dict(alpha=0.0), dict(b=0), dict(iters=-1),
-                dict(preset="nonsense")):
+                dict(preset="nonsense"), dict(anchor="nonsense")):
         with pytest.raises(ParameterError):
             SolverParams(**{**good, **bad})
-    for bad in (dict(tau=0.0), dict(p=0.0), dict(iters=-1)):
+    # vr-forb's step size tau is alpha, checked by the same rules.
+    SolverParams(**VR_FORB, p=0.5, alpha=0.1, iters=1)
+    for bad in (dict(alpha=0.0), dict(p=0.0), dict(iters=-1)):
         with pytest.raises(ParameterError):
-            VrForbParams(**{**dict(tau=0.1, p=0.5, iters=1), **bad})
+            SolverParams(**{**VR_FORB, **dict(p=0.5, alpha=0.1, iters=1), **bad})
 
 
 def test_monotone_step_bound_frozen():
@@ -373,8 +400,10 @@ def test_preset_vr_forb_frozen_value():
     lip = 3.899421730054339  # largest |A_ij| of the seed-0 game at n = 100
     params = preset_vr_forb(100, lip, iters=10)
     assert params.p == pytest.approx(0.815, rel=1e-15)
-    assert params.tau == pytest.approx(
+    assert params.alpha == pytest.approx(
         (1.0 - math.sqrt(0.185)) / (3.0 * lip * lip), rel=1e-14)
+    assert (params.gamma, params.b, params.anchor, params.uniform, params.preset) == \
+        (1.0, 1, "sticky", True, "vr-forb")
     with pytest.raises(ParameterError):
         preset_vr_forb(16, 1.0, iters=10)
 
