@@ -75,7 +75,9 @@ def natural_residual(problem: FiniteSumProblem, state, gamma: float,
     lies in F(x_cur) + normal cone at x_cur, so |u|_* -> 0 certifies
     approach to a solution.  Entropy geometries are refused: their mirror
     map gradient is unbounded and the certificate norm is meaningless
-    there; Euclidean iterates are their own mirror images.
+    there; Euclidean iterates are their own mirror images.  F(x_cur) is
+    read from ``state.memo_cur`` when the solver holds it (every step at
+    p = 1), so only the other log points evaluate F again.
     """
     geometry = problem.geometry
     if geometry.kind == ENTROPY_SIMPLEX:
@@ -87,7 +89,8 @@ def natural_residual(problem: FiniteSumProblem, state, gamma: float,
     for name in ("delta_last", "x_cur", "x_prev", "x_prev2"):
         check_layout(geometry, getattr(state, name), name)
     drift = state.x_cur.data - (gamma * state.x_prev.data + (1.0 - gamma) * state.x_prev2.data)
-    u = problem.full(state.x_cur).data - state.delta_last.data - (1.0 / alpha) * drift
+    f_cur = problem.full(state.x_cur) if state.memo_cur is None else state.memo_cur
+    u = f_cur.data - state.delta_last.data - (1.0 / alpha) * drift
     return dual_norm(geometry, BlockVector.wrap(u, geometry.block_dims))
 
 

@@ -458,6 +458,26 @@ def reference_prox(spec: GeometrySpec, x_cur: BlockVector, x_prev: BlockVector,
     return out.data
 
 
+def reference_bilinear_full(payoff: np.ndarray, z: BlockVector) -> np.ndarray:
+    """The bilinear full evaluation as one serial pass over 128-row chunks,
+    A^T y summed in chunk order: the bits the package must keep however it
+    splits the chunks over threads."""
+    n = payoff.shape[0]
+    x, y = z.blocks
+    out = np.empty(2 * n)
+    aty, ax = out[:n], out[n:]
+    for lo in range(0, n, 128):
+        hi = min(lo + 128, n)
+        rows = payoff[lo:hi]
+        np.matmul(rows, x, out=ax[lo:hi])
+        if lo == 0:
+            np.matmul(y[lo:hi], rows, out=aty)
+        else:
+            aty += y[lo:hi] @ rows
+    np.negative(ax, out=ax)
+    return out
+
+
 def reference_affine_full(problem, z: BlockVector) -> np.ndarray:
     return problem.h @ z.data + problem.q
 

@@ -285,12 +285,18 @@ def test_exit_code_4_on_unwritable_output(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("experiment", ["matrix-game", "nonmonotone-game"])
-def test_exit_code_5_on_divergence(tmp_path, capsys, experiment):
+@pytest.mark.parametrize("experiment, n", [
+    ("matrix-game", 20), ("nonmonotone-game", 20),
+    ("matrix-game", 600), ("nonmonotone-game", 600),
+], ids=["matrix-game", "nonmonotone-game", "matrix-game-split", "nonmonotone-game-split"])
+def test_exit_code_5_on_divergence(tmp_path, capsys, experiment, n):
+    """n = 600 (2.9 MB of payoff) splits each full evaluation over two
+    threads; the pair worker's products run outside the step's errstate
+    window and must leak no warning either."""
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["--experiment", experiment, "--n", "20", "--gamma", "0.5",
+        code = main(["--experiment", experiment, "--n", str(n), "--gamma", "0.5",
                      "--p", "0.1", "--alpha", "1e308", "--iters", "200", "--seeds", "0",
                      "--out", str(out)])
     # The monotone game warns that alpha exceeds its step bound; numpy's

@@ -339,3 +339,31 @@ def test_residual_and_distance_bits_match_plain_expression(case):
     run(problem, params, start=start, metric_fns={"m": metric}, log_stride=7)
     assert len(pairs) == 2 * 9 + 1
     assert [a.hex() for a, _ in pairs] == [b.hex() for _, b in pairs]
+
+
+def test_natural_residual_reads_the_memo_at_p1():
+    """At p = 1 the solver holds F(x_cur) after every step, so the residual
+    evaluates F nowhere and keeps the bits of the re-evaluating reference."""
+    problem = build_regularized_game(10)
+    params = preset_example42("alg12", iters=60)
+    start = BlockVector.full(problem.geometry.block_dims, 1.0)
+    full, calls, pairs = problem.full, [0], []
+
+    def counted_full(z):
+        calls[0] += 1
+        return full(z)
+
+    problem.full = counted_full
+
+    def metric(ctx):
+        if ctx.iteration:
+            before = calls[0]
+            got = natural_residual(problem, ctx.state, params.gamma, params.alpha)
+            assert calls[0] == before
+            pairs.append((got, helpers.reference_natural_residual(
+                problem, ctx.state, params.gamma, params.alpha)))
+        return 0.0
+
+    run(problem, params, start=start, metric_fns={"m": metric}, log_stride=7)
+    assert len(pairs) == 9
+    assert [a.hex() for a, _ in pairs] == [b.hex() for _, b in pairs]

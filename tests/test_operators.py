@@ -1,11 +1,15 @@
 """Finite-sum operators: oracles, sampling, constants."""
 
 import math
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import helpers
+from bvrvi import operators
 from bvrvi.errors import ParameterError
 from bvrvi.geometry import BlockVector, GeometrySpec, EUCLIDEAN_BALL, dual_norm, primal_norm
 from bvrvi.operators import (
@@ -244,6 +248,143 @@ def test_matrix_game_full_matches_plain_matvecs(n):
     got = problem.full(z)
     for block, ref in zip(got.blocks, (problem.payoff.T @ y, -(problem.payoff @ x))):
         assert np.max(np.abs(block - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _game(kind: str, n: int, seed: int = 0):
+    """A game on a standard normal payoff; the regularized one is given its
+    spectral norm, so building it runs no SVD."""
+    payoff = np.random.default_rng(seed + n).standard_normal((n, n))
+    if kind == "matrix":
+        return MatrixGameOperator(payoff)
+    return RegularizedGameOperator(payoff, lam=0.01, spectral_norm=1.0)
+
+
+def _reference_full(problem, z) -> np.ndarray:
+    out = helpers.reference_bilinear_full(problem.payoff, z)
+    if problem.lam:
+        out -= problem.lam * z.data
+    return out
+
+
+@pytest.mark.parametrize("kind", ["matrix", "regularized"])
+@pytest.mark.parametrize("n", [5, 128, 129, 511, 512, 1000, 1001])
+def test_bilinear_full_bits_match_serial_reference(kind, n):
+    """n = 511 runs serially and n >= 512 (2 MiB of payoff) on two threads;
+    both must give the serial chunk loop's bits."""
+    problem = _game(kind, n)
+    assert (problem.payoff.nbytes >= operators._SPLIT_BYTES) == (n >= 512)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        z = helpers.random_feasible(problem.geometry, rng)
+        assert problem.full(z).data.tobytes() == _reference_full(problem, z).tobytes()
+
+
+def test_concurrent_full_calls_get_reference_bits():
+    """More callers than cores share the pair worker; one that finds it
+    busy computes serially, and every result keeps the reference bits."""
+    problem = _game("matrix", 600)
+    rng = np.random.default_rng(5)
+    points = [helpers.random_feasible(problem.geometry, rng) for _ in range(4)]
+    expected = [_reference_full(problem, z).tobytes() for z in points]
+    start = threading.Barrier(len(points))
+    mismatches = [0] * len(points)
+    done = [0] * len(points)
+
+    def caller(k):
+        start.wait(timeout=30)
+        for _ in range(40):
+            mismatches[k] += problem.full(points[k]).data.tobytes() != expected[k]
+            done[k] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(points))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert done == [40] * len(points)
+    assert mismatches == [0] * len(points)
+
+
+def test_pair_worker_started_once_as_daemon_and_reused():
+    problem = _game("matrix", 512)
+    z = helpers.random_feasible(problem.geometry, np.random.default_rng(1))
+    problem.full(z)
+    worker = operators._pair_worker
+    assert worker is not None and worker.thread.daemon and worker.thread.is_alive()
+    for _ in range(5):
+        problem.full(z)
+    assert operators._pair_worker is worker
+    names = [t.name for t in threading.enumerate()]
+    assert names.count(worker.thread.name) == 1
+
+
+def test_pair_worker_busy_runs_both_calls_on_the_caller():
+    worker = operators._get_pair_worker()
+    entered, release = threading.Event(), threading.Event()
+    results = []
+
+    def blocked():
+        entered.set()
+        release.wait(timeout=30)
+        return threading.get_ident()
+
+    holder = threading.Thread(target=lambda: results.append(
+        worker.run(threading.get_ident, blocked)))
+    holder.start()
+    try:
+        assert entered.wait(timeout=30)
+        me = threading.get_ident()
+        assert worker.run(threading.get_ident, threading.get_ident) == (me, me)
+    finally:
+        release.set()
+        holder.join(timeout=30)
+    assert not holder.is_alive()
+    (first, second), = results
+    assert first == holder.ident and second == worker.thread.ident
+
+
+def test_pair_worker_reraises_in_the_caller_and_stays_usable():
+    worker = operators._get_pair_worker()
+
+    def fail():
+        raise ValueError("worker half failed")
+
+    with pytest.raises(ValueError, match="worker half failed"):
+        worker.run(lambda: 1, fail)
+    assert worker.run(lambda: 1, lambda: 2) == (1, 2)
+    assert operators._pair_worker is worker
+
+
+def _forked_full_matches_reference() -> None:
+    """Runs in a forked child: the parent's worker is forgotten, and a new
+    one computes a split full evaluation with the reference bits."""
+    assert operators._pair_worker is None
+    problem = _game("matrix", 1000, seed=7)
+    z = helpers.random_feasible(problem.geometry, np.random.default_rng(7))
+    ok = problem.full(z).data.tobytes() == _reference_full(problem, z).tobytes()
+    sys.exit(0 if ok and operators._pair_worker.thread.is_alive() else 3)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_forked_child_computes_split_full_after_parent_started_worker():
+    problem = _game("matrix", 512)
+    problem.full(helpers.random_feasible(problem.geometry, np.random.default_rng(2)))
+    assert operators._pair_worker.thread.is_alive()
+    child = multiprocessing.get_context("fork").Process(target=_forked_full_matches_reference)
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join(timeout=10)
+        pytest.fail("forked child did not finish a split full evaluation in 60 s")
+    assert child.exitcode == 0
 
 
 def test_estimator_mean_and_variance_bound_monte_carlo():
