@@ -197,7 +197,7 @@ def bregman_divergence(spec: GeometrySpec, x: BlockVector, y: BlockVector) -> fl
             total += float(np.sum(by) - np.sum(bx))
         return total
     diff = x.data - y.data
-    return 0.5 * float(diff @ diff)
+    return 0.5 * float(diff.dot(diff))
 
 
 def _check_step_params(gamma: float, alpha: float) -> None:
@@ -256,7 +256,7 @@ def fused_inertial_prox(
     elif spec.kind == EUCLIDEAN_BALL:
         for blk in blocks:
             # The 2-norm of a 1-D block, as np.linalg.norm computes it.
-            nrm = math.sqrt(blk @ blk)
+            nrm = math.sqrt(blk.dot(blk))
             if nrm > spec.radius:
                 blk *= spec.radius / nrm
     return vec
@@ -267,7 +267,7 @@ def primal_norm(spec: GeometrySpec, x: BlockVector) -> float:
     check_layout(spec, x, "x")
     if spec.kind == ENTROPY_SIMPLEX:
         return math.sqrt(sum(float(np.sum(np.abs(b))) ** 2 for b in x.blocks))
-    return math.sqrt(sum(float(b @ b) for b in x.blocks))
+    return math.sqrt(sum(float(b.dot(b)) for b in x.blocks))
 
 
 def dual_norm(spec: GeometrySpec, d: DualVector) -> float:
@@ -275,7 +275,7 @@ def dual_norm(spec: GeometrySpec, d: DualVector) -> float:
     check_layout(spec, d, "d")
     if spec.kind == ENTROPY_SIMPLEX:
         return math.sqrt(sum(float(np.max(np.abs(b))) ** 2 for b in d.blocks))
-    return math.sqrt(sum(float(b @ b) for b in d.blocks))
+    return math.sqrt(sum(float(b.dot(b)) for b in d.blocks))
 
 
 def uniform_start(spec: GeometrySpec) -> BlockVector:

@@ -62,7 +62,7 @@ def distance_to_solution(problem: FiniteSumProblem, z: BlockVector) -> float:
         raise ParameterError("problem has no recorded solution")
     check_layout(problem.geometry, z, "z")
     d = z.data - problem.solution.data
-    return math.sqrt(d @ d)
+    return math.sqrt(d.dot(d))
 
 
 def natural_residual(problem: FiniteSumProblem, state, gamma: float,

@@ -31,6 +31,7 @@ sampling.  ``run`` is the one loop for every method.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -316,20 +317,28 @@ class RunTrace:
     final_state: SolverState
     ergodic: BlockVector
 
-    def metric_series(self, name: str) -> list[tuple[int, float]]:
-        return [(r.iteration, r.metrics[name]) for r in self.records if name in r.metrics]
-
 
 @dataclass
 class MetricContext:
-    """Everything a metric callable may need at a logging point."""
+    """Everything a metric callable may need at a logging point.
+
+    ``ergodic`` is ``ergodic_sum / ergodic_count``, built on its first
+    read, so a metric set that never reads it never pays for it.  The sum
+    is the solver's running one: read ``ergodic`` during the metric call.
+    """
 
     problem: FiniteSumProblem
     params: SolverParams
     state: SolverState
     point: BlockVector
-    ergodic: BlockVector
     iteration: int
+    ergodic_sum: np.ndarray
+    ergodic_count: int
+
+    @functools.cached_property
+    def ergodic(self) -> BlockVector:
+        return BlockVector.wrap(self.ergodic_sum * (1.0 / self.ergodic_count),
+                                self.point.block_dims)
 
 
 def run(problem: FiniteSumProblem, params: SolverParams, *,
@@ -365,7 +374,7 @@ def run(problem: FiniteSumProblem, params: SolverParams, *,
     records: list[TraceRecord] = []
     t0 = time.perf_counter()
 
-    def log(it: int, ergodic: BlockVector) -> None:
+    def log(it: int, total: np.ndarray, count: int) -> MetricContext:
         if not np.isfinite(state.x_cur.data).all():
             first = records[-1].iteration + 1 if records else it
             where = (f"at iteration {it}" if first == it
@@ -375,7 +384,7 @@ def run(problem: FiniteSumProblem, params: SolverParams, *,
                 "the step size is too large for this problem"
             )
         wall_ms = (time.perf_counter() - t0) * 1000.0 if timing else 0.0
-        ctx = MetricContext(problem, params, state, state.x_cur, ergodic, it)
+        ctx = MetricContext(problem, params, state, state.x_cur, it, total, count)
         records.append(TraceRecord(
             iteration=it,
             component_calls=state.counters.component_calls,
@@ -383,9 +392,10 @@ def run(problem: FiniteSumProblem, params: SolverParams, *,
             metrics={name: float(fn(ctx)) for name, fn in metric_fns.items()},
             wall_ms=wall_ms,
         ))
+        return ctx
 
-    ergodic = state.x_cur.copy()
-    log(0, ergodic)
+    # At iteration 0 the ergodic point is the start: x0 * (1/1) copies it.
+    ctx = log(0, state.x_cur.data, 1)
     done = 0
     for it in range(log_stride, params.iters + log_stride, log_stride):
         it = min(it, params.iters)
@@ -394,7 +404,7 @@ def run(problem: FiniteSumProblem, params: SolverParams, *,
                 step(state, problem, params)
                 acc += state.x_cur.data
         done = it
-        ergodic = BlockVector.wrap(acc * (1.0 / it), state.x_cur.block_dims)
-        log(it, ergodic)
-    return RunTrace(records=records, final_state=state, ergodic=ergodic)
+        ctx = log(it, acc, it)
+    # Nothing has been added to the sum since the last log point.
+    return RunTrace(records=records, final_state=state, ergodic=ctx.ergodic)
 

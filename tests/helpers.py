@@ -482,9 +482,15 @@ def reference_affine_full(problem, z: BlockVector) -> np.ndarray:
     return problem.h @ z.data + problem.q
 
 
-def reference_affine_component(problem, i: int, z: BlockVector) -> np.ndarray:
-    scale = 1.0 / (problem.n_rows * float(problem._dist.r[i]))
+def reference_affine_component(problem, i: int, z: BlockVector,
+                               dist: OracleSampleDistribution) -> np.ndarray:
+    scale = 1.0 / (problem.n_rows * float(dist.r[i]))
     return scale * (problem._component_mats[i] @ z.data + problem.q)
+
+
+def metric_series(trace, name: str) -> list[tuple[int, float]]:
+    """(iteration, value) of one metric at every log point of a run trace."""
+    return [(r.iteration, r.metrics[name]) for r in trace.records if name in r.metrics]
 
 
 def reference_natural_residual(problem, state, gamma: float, alpha: float) -> float:

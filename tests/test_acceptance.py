@@ -171,7 +171,7 @@ def test_criterion_04_ergodic_gap_bound_and_slope():
         trace = run(problem, replace(params0, seed=seed),
                     metric_fns={"gap": lambda ctx: duality_gap(problem, ctx.ergodic)},
                     log_stride=500)
-        series = dict(trace.metric_series("gap"))
+        series = dict(helpers.metric_series(trace, "gap"))
         for s in checkpoints:
             gaps[s].append(series[s])
     bounds = theory_bounds(params0, problem)
@@ -218,7 +218,7 @@ def test_criterion_05_linear_rate_envelopes():
                         metric_fns={"dist": lambda ctx, xs=xstar: primal_norm(
                             problem.geometry, ctx.point - xs)},
                         log_stride=500)
-            series = dict(trace.metric_series("dist"))
+            series = dict(helpers.metric_series(trace, "dist"))
             for s in checkpoints:
                 dists[s].append(series[s])
         for s, env in zip(checkpoints, envelopes):
@@ -261,7 +261,7 @@ def test_criterion_07_nonmonotone_residual_decay():
                         metric_fns={"res": lambda ctx: scaled_norm_residual(
                             ctx.point, 100)},
                         log_stride=100)
-            values = dict(trace.metric_series("res"))
+            values = dict(helpers.metric_series(trace, "res"))
             ratio = values[15000] / values[0]
             window_medians = [
                 statistics.median(values[w * 1000 + (j + 1) * 100]

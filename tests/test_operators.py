@@ -10,13 +10,14 @@ import pytest
 
 import helpers
 from bvrvi import operators
-from bvrvi.errors import ParameterError
+from bvrvi.errors import LayoutError, ParameterError
 from bvrvi.geometry import BlockVector, GeometrySpec, EUCLIDEAN_BALL, dual_norm, primal_norm
 from bvrvi.operators import (
     LINEAR_RATE_VARIANTS,
     AffineStrongOperator,
     MatrixGameOperator,
     OracleCounters,
+    OracleSampleDistribution,
     RegularizedGameOperator,
     build_linear_rate_fixture,
     build_matrix_game,
@@ -560,12 +561,39 @@ def test_power_iteration_matches_numpy():
 
 @pytest.mark.parametrize("variant", sorted(LINEAR_RATE_VARIANTS))
 def test_affine_oracle_bits_match_plain_expression(variant):
+    """Uniform weights (unit scale, skipped) and non-uniform ones (scaled)
+    both give the bits of scale * (H_i @ z + q)."""
     problem, _ = build_linear_rate_fixture(variant)
     rng = np.random.default_rng(41)
+    m = problem.n_rows
+    w = rng.random(m) + 0.1
+    skewed = OracleSampleDistribution(r=w / w.sum(), c=np.ones(1))
     for _ in range(20):
         z = helpers.random_feasible(problem.geometry, rng)
         assert problem.full(z).data.tobytes() == \
             helpers.reference_affine_full(problem, z).tobytes()
-        i = int(rng.integers(problem.n_rows))
-        got = problem.component((i, 0), z, problem.distribution(z, z))
-        assert got.data.tobytes() == helpers.reference_affine_component(problem, i, z).tobytes()
+        i = int(rng.integers(m))
+        for dist in (problem.distribution(z, z), skewed):
+            got = problem.component((i, 0), z, dist)
+            assert got.data.tobytes() == \
+                helpers.reference_affine_component(problem, i, z, dist).tobytes()
+    assert m * (1.0 / m) == 1.0 and m * skewed.r[0] != 1.0
+
+
+@pytest.mark.parametrize("kind", ["matrix-game", "regularized-game", "affine"])
+def test_component_refuses_off_grid_index_and_wrong_layout(kind):
+    if kind == "matrix-game":
+        problem = build_matrix_game(4, 0)
+    elif kind == "regularized-game":
+        problem = build_regularized_game(4)
+    else:
+        problem, _ = build_linear_rate_fixture("p-lt-1")
+    z = helpers.random_feasible(problem.geometry, np.random.default_rng(5))
+    dist = problem.distribution(z, z)
+    # On the affine M x 1 grid, (0, n_cols) is (0, 1).
+    for xi in ((-1, 0), (problem.n_rows, 0), (0, -1), (0, problem.n_cols)):
+        with pytest.raises(ParameterError, match="outside grid"):
+            problem.component(xi, z, dist)
+    wrong = BlockVector.zeros((*problem.geometry.block_dims, 1))
+    with pytest.raises(LayoutError, match="^z has blocks"):
+        problem.component((0, 0), wrong, dist)

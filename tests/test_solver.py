@@ -316,6 +316,31 @@ def test_zero_iteration_run_logs_start_only():
     assert trace.records[0].iteration == 0
     assert np.allclose(trace.ergodic.data, uniform_start(problem.geometry).data,
                        rtol=1e-12, atol=0.0)
+    # x0 * (1/1) is x0 bit for bit, in an array of its own.
+    assert trace.ergodic.data.tobytes() == trace.final_state.x_cur.data.tobytes()
+    assert not np.shares_memory(trace.ergodic.data, trace.final_state.x_cur.data)
+
+
+def test_ergodic_point_built_on_first_read_only():
+    problem = build_matrix_game(3, 1)
+    params = SolverParams(gamma=0.5, p=0.5, alpha=0.01, b=1, iters=10)
+    unread = []
+    trace = run(problem, params,
+                metric_fns={"it": lambda ctx: unread.append(ctx) or 0.0}, log_stride=5)
+    # Only the last log point builds it, once, for the returned trace.
+    assert ["ergodic" in vars(c) for c in unread] == [False, False, True]
+    assert trace.ergodic is unread[-1].ergodic
+    first_reads = []
+
+    def read_twice(ctx):
+        first_reads.append(ctx.ergodic)
+        assert ctx.ergodic is first_reads[-1]
+        return 0.0
+
+    trace = run(problem, params, metric_fns={"e": read_twice}, log_stride=5)
+    assert len(first_reads) == 3
+    # The last log point's point is the one the trace returns.
+    assert trace.ergodic is first_reads[-1]
 
 
 def test_metric_series_selects_by_name():
@@ -323,8 +348,8 @@ def test_metric_series_selects_by_name():
     params = SolverParams(gamma=0.5, p=0.5, alpha=0.01, b=1, iters=10)
     trace = run(problem, params, metric_fns={"one": lambda ctx: 1.0},
                 log_stride=5)
-    assert trace.metric_series("one") == [(0, 1.0), (5, 1.0), (10, 1.0)]
-    assert trace.metric_series("absent") == []
+    assert helpers.metric_series(trace, "one") == [(0, 1.0), (5, 1.0), (10, 1.0)]
+    assert helpers.metric_series(trace, "absent") == []
 
 
 def test_extragradient_finds_fixture_solutions():
